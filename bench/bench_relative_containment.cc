@@ -3,9 +3,24 @@
 // plans, unfolds them to UCQs over the sources, and compares. Cost drivers:
 // the number of views matching each subgoal (plan width — exponential in
 // query size in the worst case) and the per-disjunct NP containment check.
+//
+// Before the google-benchmark suite, main() measures auto_over_scan_narrow
+// and exits non-zero when it is above 1.1 (the CI bench-gate runs it with
+// --gate_only, which skips the suite):
+//
+//   ./build/bench/bench_relative_containment --gate_only
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cstdio>
+#include <cstring>
+#include <vector>
+
+#include "datalog/parser.h"
+#include "harness.h"
+#include "relcont/cegar.h"
 #include "relcont/gav.h"
 #include "relcont/pi2p_reduction.h"
 #include "relcont/relative_containment.h"
@@ -257,5 +272,161 @@ void BM_Pi2p_BruteForceOracle(benchmark::State& state) {
 }
 BENCHMARK(BM_Pi2p_BruteForceOracle)->DenseRange(1, 6);
 
+// --- auto_over_scan_narrow -------------------------------------------------
+//
+// kAuto's cost over the scan's on narrow instances: left plans far below
+// CegarOptions::auto_width_threshold, where kAuto must end up scanning.
+// Both strategies run against the same prebuilt inverse-rule index, as in
+// the service, so the ratio is exactly the work kAuto adds to the scan it
+// picks (its width estimate and the query unfolds). 1.0 is the floor.
+constexpr double kAutoOverScanGate = 1.1;
+
+struct NarrowPair {
+  GoalQuery a;
+  GoalQuery b;
+  const ViewSet* views;
+  const InverseRuleIndex* inverse;
+  bool contained;
+};
+
+/// Times `rounds` passes over `pairs`, each pair decided once with kAuto
+/// and once with kScan back to back, the order alternating from one call
+/// to the next: the interner grows with every decision, and fine-grained
+/// interleaving makes that drift hit both strategies alike. Adds the
+/// seconds to `*auto_s` and `*scan_s`; false on an error or a verdict that
+/// differs from the pair's.
+bool TimeBoth(const std::vector<NarrowPair>& pairs, int rounds,
+              Interner* interner, double* auto_s, double* scan_s) {
+  RelativeContainmentOptions auto_opts;
+  auto_opts.strategy = ContainmentStrategy::kAuto;
+  RelativeContainmentOptions scan_opts;
+  scan_opts.strategy = ContainmentStrategy::kScan;
+  bool auto_first = true;
+  for (int r = 0; r < rounds; ++r) {
+    for (const NarrowPair& p : pairs) {
+      for (bool use_auto : {auto_first, !auto_first}) {
+        auto start = std::chrono::steady_clock::now();
+        Result<RelativeContainmentResult> out = RelativelyContained(
+            p.a, p.b, *p.views, interner, use_auto ? auto_opts : scan_opts,
+            p.inverse);
+        double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+        if (!out.ok() || out->contained != p.contained) return false;
+        *(use_auto ? auto_s : scan_s) += seconds;
+      }
+      auto_first = !auto_first;
+    }
+  }
+  return true;
+}
+
+/// Example 1's two comparison-free queries (both directions) and 24
+/// narrow random pairs over three random-view catalogs; returns the median
+/// over trials of kAuto's time over the scan's, or -1 on a wrong answer.
+double AutoOverScanNarrow() {
+  Interner interner;
+  std::vector<ViewSet> catalogs;
+  catalogs.push_back(*ParseViews(
+      "redcars(CarNo, Model, Year) :- cardesc(CarNo, Model, red, Year).\n"
+      "antiquecars(CarNo, Model, Year) :- "
+      "cardesc(CarNo, Model, Color, Year), Year < 1970.\n"
+      "caranddriver(Model, Review) :- review(Model, Review, 10).\n",
+      &interner));
+  RandomQueryOptions opts;
+  opts.num_atoms = 3;
+  opts.num_variables = 4;
+  opts.num_predicates = 3;
+  opts.constant_probability = 0.1;
+  opts.head_arity = 1;
+  for (uint64_t seed : {101u, 202u, 303u}) {
+    opts.seed = seed;
+    catalogs.push_back(RandomViews(opts, 10, &interner));
+  }
+  std::vector<InverseRuleIndex> indexes;
+  for (const ViewSet& views : catalogs) {
+    indexes.push_back(*InverseRuleIndex::Build(views, &interner));
+  }
+
+  std::vector<NarrowPair> pairs;
+  auto add = [&](GoalQuery a, GoalQuery b, size_t catalog) {
+    // Keep only pairs kAuto really scans: a CEGAR run counts proposals.
+    RelativeContainmentOptions auto_opts;
+    auto_opts.strategy = ContainmentStrategy::kAuto;
+    CegarStats stats;
+    Result<RelativeContainmentResult> r = CegarRelativelyContained(
+        a, b, catalogs[catalog], &interner, auto_opts, &stats,
+        &indexes[catalog]);
+    if (!r.ok() || stats.proposals > 0 || stats.iterations > 0) return;
+    pairs.push_back({std::move(a), std::move(b), &catalogs[catalog],
+                     &indexes[catalog], r->contained});
+  };
+  GoalQuery q1{*ParseProgram("q1(CarNo, Review) :- cardesc(CarNo, Model, C, Y), "
+                             "review(Model, Review, Rating).",
+                             &interner),
+               interner.Lookup("q1")};
+  GoalQuery q2{*ParseProgram("q2(CarNo, Review) :- cardesc(CarNo, Model, C, Y), "
+                             "review(Model, Review, 10).",
+                             &interner),
+               interner.Lookup("q2")};
+  add(q1, q2, 0);
+  add(q2, q1, 0);
+  for (uint64_t i = 0; i < 24; ++i) {
+    opts.seed = 5000 + 2 * i;
+    GoalQuery a{Program({RandomConjunctiveQuery(opts, "ga", &interner)}),
+                interner.Lookup("ga")};
+    opts.seed = 5001 + 2 * i;
+    GoalQuery b{Program({RandomConjunctiveQuery(opts, "gb", &interner)}),
+                interner.Lookup("gb")};
+    add(std::move(a), std::move(b), 1 + i % 3);
+  }
+
+  const int trials = bench::ScaleIterations(15, 7);
+  const int rounds = bench::ScaleIterations(20, 10);
+  std::vector<double> ratios;
+  for (int t = 0; t < trials; ++t) {
+    double auto_s = 0;
+    double scan_s = 0;
+    if (!TimeBoth(pairs, rounds, &interner, &auto_s, &scan_s)) return -1;
+    ratios.push_back(auto_s / scan_s);
+  }
+  std::sort(ratios.begin(), ratios.end());
+  std::printf("auto_over_scan_narrow %.3f (median of %d trials, %zu pairs; "
+              "gate %.2f)\n",
+              ratios[ratios.size() / 2], trials, pairs.size(),
+              kAutoOverScanGate);
+  return ratios[ratios.size() / 2];
+}
+
 }  // namespace
 }  // namespace relcont
+
+int main(int argc, char** argv) {
+  bool gate_only = false;
+  int kept = 0;
+  for (int i = 0; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--gate_only") == 0) {
+      gate_only = true;
+    } else {
+      argv[kept++] = argv[i];
+    }
+  }
+  argc = kept;
+  double ratio = relcont::AutoOverScanNarrow();
+  if (!gate_only) {
+    benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+    benchmark::RunSpecifiedBenchmarks();
+    benchmark::Shutdown();
+  }
+  if (ratio < 0) {
+    std::fprintf(stderr, "auto_over_scan_narrow: wrong answer\n");
+    return 1;
+  }
+  if (ratio > relcont::kAutoOverScanGate) {
+    std::fprintf(stderr, "auto_over_scan_narrow %.3f is above %.2f\n", ratio,
+                 relcont::kAutoOverScanGate);
+    return 1;
+  }
+  return 0;
+}

@@ -27,6 +27,12 @@ namespace relcont {
 /// * '%' starts a comment that runs to end of line.
 /// * A zero-arity head may be written `q()` or just `q`.
 
+/// Deepest function-term nesting the parser accepts: f(g(X)) nests 2.
+/// Deeper input is rejected with kInvalidArgument before it can exhaust
+/// the stack of the recursive parser (or of anything that later walks
+/// the term).
+inline constexpr int kMaxTermDepth = 256;
+
 /// Parses a single rule (or fact) terminated by '.'.
 Result<Rule> ParseRule(std::string_view text, Interner* interner);
 

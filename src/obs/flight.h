@@ -76,7 +76,9 @@ struct WideEvent {
 
   static void CopyInto(char* dst, size_t cap, std::string_view src) {
     size_t n = src.size() < cap - 1 ? src.size() : cap - 1;
-    std::memcpy(dst, src.data(), n);
+    // An empty view may carry a null data(); memcpy from null is UB even
+    // for zero bytes.
+    if (n > 0) std::memcpy(dst, src.data(), n);
     dst[n] = '\0';
   }
   void set_verb(std::string_view v) { CopyInto(verb, kVerbChars, v); }

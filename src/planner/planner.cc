@@ -159,13 +159,10 @@ PlanResponse Planner::Plan(const PlanRequest& request, PlannerContext* ctx) {
       // Section 2.3/3: inverse rules, then function-term elimination down
       // to the executable UCQ over the sources.
       RELCONT_ASSIGN_OR_RETURN(
-          Program plan,
-          MaximallyContainedPlan(query.program, catalog->views,
-                                 ctx->interner()));
-      RELCONT_ASSIGN_OR_RETURN(
           UnionQuery ucq,
-          PlanToUnion(plan, query.goal, catalog->views, ctx->interner(),
-                      request.options.unfold));
+          MaximallyContainedUnion(query.program, query.goal,
+                                  catalog->inverse, ctx->interner(),
+                                  request.options.unfold));
       out.plan_text = ucq.ToString(*ctx->interner());
       out.num_rules = static_cast<int>(ucq.disjuncts.size());
       out.recursive = false;
@@ -305,8 +302,8 @@ RewriteResponse Planner::Rewrite(const RewriteRequest& request,
       RELCONT_ASSIGN_OR_RETURN(
           out.contained,
           RelativelyContainedViaExpansion(q1, q2, catalog->views,
-                                          ctx->interner(), options,
-                                          &witness));
+                                          ctx->interner(), options, &witness,
+                                          &catalog->inverse));
       if (!out.contained) {
         out.witness_text = witness.ToString(*ctx->interner());
       }

@@ -172,11 +172,8 @@ class Env {
   std::vector<SymbolId> trail_;
 };
 
-/// One inverse-rule choice for a template body atom: a renamed-apart copy
-/// (head = mediated atom, body[0] = the source atom it produces). Copies
-/// are per (position, option) — InvertViews leaves the view's variables
-/// shared across its inverse rules, so reusing one copy at two positions
-/// would link unrelated bindings.
+/// The inverse-rule choices for a template body atom: renamed-apart
+/// copies (head = mediated atom, body[0] = the source atom it produces).
 struct LeftPosition {
   Atom goal;
   std::vector<Rule> options;
@@ -492,156 +489,180 @@ class CegarSearch {
   std::optional<Rule> witness_;
 };
 
-Result<RelativeContainmentResult> ScanFallback(
-    const GoalQuery& q1, const GoalQuery& q2, const ViewSet& views,
-    Interner* interner, const RelativeContainmentOptions& options) {
-  RelativeContainmentOptions scan = options;
-  scan.strategy = ContainmentStrategy::kScan;
-  return RelativelyContained(q1, q2, views, interner, scan);
-}
+/// One Section 3 question, compiled once for whichever engine runs
+/// (docs/ALGORITHMS.md §3): both queries checked against the catalog's
+/// inverse-rule index and, when CEGAR or kAuto will read them, unfolded
+/// over the mediated schema (t1, t2).
+struct CompiledPair {
+  const InverseRuleIndex* inverse = nullptr;
+  /// False when a query IDB predicate is also a catalog predicate: the
+  /// templates cannot mirror the joint unfold, so only the scan decides.
+  bool factorable = true;
+  UnionQuery t1, t2;
+};
 
-Result<RelativeContainmentResult> CegarImpl(
-    const GoalQuery& q1, const GoalQuery& q2, const ViewSet& views,
-    Interner* interner, const RelativeContainmentOptions& options,
-    CegarStats* stats) {
-  std::vector<LeftTemplate> left;
-  std::vector<RightTemplate> right;
-  std::unordered_set<SymbolId> right_vars;
-  int64_t estimate = 0;
-  {
-    RELCONT_TRACE_SPAN("build_plans");
-    // Validation parity with the scan: MaximallyContainedPlan performs the
-    // Section 3 input checks (safety, comparison-free, mediated schema
-    // only) for both queries and returns the inverse rules embedded in the
-    // plan program, so error cases answer identically to the scan.
-    RELCONT_ASSIGN_OR_RETURN(
-        Program p1, MaximallyContainedPlan(q1.program, views, interner));
-    RELCONT_ASSIGN_OR_RETURN(
-        Program p2, MaximallyContainedPlan(q2.program, views, interner));
-    (void)p2;
-
-    std::set<SymbolId> sources = views.SourcePredicates();
-    std::set<SymbolId> mediated = views.MediatedPredicates();
-    // Factorization precondition: a query IDB colliding with a catalog
-    // predicate would resolve against BOTH definitions in the joint
-    // unfold; the two-level factorization cannot mirror that, so the scan
-    // decides (identical verdict by construction).
-    for (const Program* prog : {&q1.program, &q2.program}) {
-      for (SymbolId idb : prog->IdbPredicates()) {
-        if (mediated.count(idb) > 0 || sources.count(idb) > 0) {
-          return ScanFallback(q1, q2, views, interner, options);
-        }
+Result<CompiledPair> CompilePair(const GoalQuery& q1, const GoalQuery& q2,
+                                 const InverseRuleIndex& inverse,
+                                 Interner* interner,
+                                 const UnfoldOptions& unfold,
+                                 bool unfold_queries) {
+  CompiledPair pair;
+  pair.inverse = &inverse;
+  for (const GoalQuery* q : {&q1, &q2}) {
+    RELCONT_RETURN_NOT_OK(CheckPlanQuery(q->program, inverse.sources()));
+    for (SymbolId idb : q->program.IdbPredicates()) {
+      if (inverse.Defines(idb) || inverse.sources().count(idb) > 0) {
+        pair.factorable = false;
       }
-    }
-
-    RELCONT_ASSIGN_OR_RETURN(
-        UnionQuery t1,
-        UnfoldToUnion(q1.program, q1.goal, interner, options.unfold));
-    RELCONT_ASSIGN_OR_RETURN(
-        UnionQuery t2,
-        UnfoldToUnion(q2.program, q2.goal, interner, options.unfold));
-
-    std::unordered_map<SymbolId, std::vector<const Rule*>> inv_by_pred;
-    for (const Rule& r : p1.rules) {
-      if (r.body.size() == 1 && sources.count(r.body[0].predicate) > 0) {
-        inv_by_pred[r.head.predicate].push_back(&r);
-      }
-    }
-
-    for (const Rule& d : t1.disjuncts) {
-      LeftTemplate lt;
-      lt.rule = d;
-      bool answerable = true;
-      int64_t width = 1;
-      for (const Atom& a : d.body) {
-        LeftPosition pos;
-        pos.goal = a;
-        auto it = inv_by_pred.find(a.predicate);
-        if (it != inv_by_pred.end()) {
-          for (const Rule* r : it->second) {
-            pos.options.push_back(RenameApart(*r, interner));
-          }
-        }
-        if (pos.options.empty()) {
-          // A mediated atom no source covers: the whole template is
-          // unanswerable (PlanToUnion drops these disjuncts).
-          answerable = false;
-          break;
-        }
-        width = SatMul(width, static_cast<int64_t>(pos.options.size()));
-        lt.positions.push_back(std::move(pos));
-      }
-      if (!answerable) continue;
-      // Deterministic (single-option) positions first: the DFS then
-      // resolves them once as a shared prefix instead of re-unifying them
-      // under every combination of the real choice points. Stable, so the
-      // enumeration order — and with it the reported witness — stays
-      // deterministic.
-      std::stable_partition(
-          lt.positions.begin(), lt.positions.end(),
-          [](const LeftPosition& p) { return p.options.size() <= 1; });
-      for (const LeftPosition& p : lt.positions) {
-        if (p.options.size() > 1) ++lt.num_branching;
-      }
-      ComputeComponents(&lt);
-      estimate = SatAdd(estimate, width);
-      left.push_back(std::move(lt));
-    }
-
-    if (options.strategy == ContainmentStrategy::kAuto &&
-        estimate < options.cegar.auto_width_threshold) {
-      return ScanFallback(q1, q2, views, interner, options);
-    }
-
-    for (const Rule& d : t2.disjuncts) {
-      RightTemplate rt;
-      rt.rule = RenameApart(d, interner);
-      bool feasible = true;
-      for (const Atom& a : rt.rule.body) {
-        std::vector<Rule> opts;
-        auto it = inv_by_pred.find(a.predicate);
-        if (it != inv_by_pred.end()) {
-          for (const Rule* r : it->second) {
-            opts.push_back(RenameApart(*r, interner));
-          }
-        }
-        if (opts.empty()) {
-          feasible = false;
-          break;
-        }
-        rt.options.push_back(std::move(opts));
-      }
-      if (!feasible) continue;
-      for (SymbolId v : rt.rule.Variables()) right_vars.insert(v);
-      for (const auto& opts : rt.options) {
-        for (const Rule& r : opts) {
-          for (SymbolId v : r.Variables()) right_vars.insert(v);
-        }
-      }
-      right.push_back(std::move(rt));
     }
   }
+  if (unfold_queries && pair.factorable) {
+    RELCONT_ASSIGN_OR_RETURN(
+        pair.t1, UnfoldToUnion(q1.program, q1.goal, interner, unfold));
+    RELCONT_ASSIGN_OR_RETURN(
+        pair.t2, UnfoldToUnion(q2.program, q2.goal, interner, unfold));
+  }
+  return pair;
+}
 
-  RELCONT_TRACE_SPAN("cegar_search");
-  CegarSearch search(std::move(left), std::move(right), std::move(right_vars),
-                     options.cegar, stats);
-  RELCONT_ASSIGN_OR_RETURN(bool found, search.Run());
-  RelativeContainmentResult out;
-  out.contained = !found;
-  if (found) out.witness = search.witness();
-  // plan1/plan2 stay empty by design: the engine never materializes them.
+/// The left plan width kAuto compares against its threshold: the sum over
+/// answerable templates of the product of per-atom inverse-rule options.
+int64_t WidthEstimate(const CompiledPair& pair) {
+  int64_t estimate = 0;
+  for (const Rule& d : pair.t1.disjuncts) {
+    int64_t width = 1;
+    for (const Atom& a : d.body) {
+      width = SatMul(width, static_cast<int64_t>(
+                                    pair.inverse->RulesFor(a.predicate).size()));
+    }
+    estimate = SatAdd(estimate, width);
+  }
+  return estimate;
+}
+
+/// Renamed-apart copies of the inverse rules that can resolve `a`. Copies
+/// are per (position, option) — InvertViews leaves the view's variables
+/// shared across its inverse rules, so reusing one copy at two positions
+/// would link unrelated bindings.
+std::vector<Rule> FreshOptions(const Atom& a, const InverseRuleIndex& inverse,
+                               Interner* interner) {
+  std::vector<Rule> out;
+  for (const Rule& r : inverse.RulesFor(a.predicate)) {
+    out.push_back(RenameApart(r, interner));
+  }
   return out;
+}
+
+/// The factored left plan: one template per answerable query disjunct.
+std::vector<LeftTemplate> LeftTemplates(const CompiledPair& pair,
+                                        Interner* interner) {
+  std::vector<LeftTemplate> left;
+  for (const Rule& d : pair.t1.disjuncts) {
+    LeftTemplate lt;
+    lt.rule = d;
+    bool answerable = true;
+    for (const Atom& a : d.body) {
+      LeftPosition pos{a, FreshOptions(a, *pair.inverse, interner)};
+      if (pos.options.empty()) {
+        // A mediated atom no source covers: the whole template is
+        // unanswerable (PlanToUnion drops these disjuncts).
+        answerable = false;
+        break;
+      }
+      lt.positions.push_back(std::move(pos));
+    }
+    if (!answerable) continue;
+    // Deterministic (single-option) positions first: the DFS then resolves
+    // them once as a shared prefix instead of re-unifying them under every
+    // combination of the real choice points. Stable, so the enumeration
+    // order — and with it the reported witness — stays deterministic.
+    std::stable_partition(
+        lt.positions.begin(), lt.positions.end(),
+        [](const LeftPosition& p) { return p.options.size() <= 1; });
+    for (const LeftPosition& p : lt.positions) {
+      if (p.options.size() > 1) ++lt.num_branching;
+    }
+    ComputeComponents(&lt);
+    left.push_back(std::move(lt));
+  }
+  return left;
+}
+
+/// The right plan's templates, renamed apart from the left; every variable
+/// they (and their options) hold goes into `right_vars`.
+std::vector<RightTemplate> RightTemplates(
+    const CompiledPair& pair, Interner* interner,
+    std::unordered_set<SymbolId>* right_vars) {
+  std::vector<RightTemplate> right;
+  for (const Rule& d : pair.t2.disjuncts) {
+    RightTemplate rt;
+    rt.rule = RenameApart(d, interner);
+    bool feasible = true;
+    for (const Atom& a : rt.rule.body) {
+      rt.options.push_back(FreshOptions(a, *pair.inverse, interner));
+      if (rt.options.back().empty()) {
+        feasible = false;
+        break;
+      }
+    }
+    if (!feasible) continue;
+    for (SymbolId v : rt.rule.Variables()) right_vars->insert(v);
+    for (const auto& opts : rt.options) {
+      for (const Rule& r : opts) {
+        for (SymbolId v : r.Variables()) right_vars->insert(v);
+      }
+    }
+    right.push_back(std::move(rt));
+  }
+  return right;
 }
 
 }  // namespace
 
-Result<RelativeContainmentResult> CegarRelativelyContained(
+Result<RelativeContainmentResult> DecideCompiledPair(
     const GoalQuery& q1, const GoalQuery& q2, const ViewSet& views,
-    Interner* interner, const RelativeContainmentOptions& options,
-    CegarStats* stats) {
+    const InverseRuleIndex* prebuilt, Interner* interner,
+    const RelativeContainmentOptions& options, CegarStats* stats) {
+  std::optional<InverseRuleIndex> built;
+  RELCONT_ASSIGN_OR_RETURN(const InverseRuleIndex* index,
+                           UseOrBuildIndex(views, prebuilt, interner, &built));
+  const InverseRuleIndex& inverse = *index;
+  RelativeContainmentResult out;
+  std::vector<LeftTemplate> left;
+  std::vector<RightTemplate> right;
+  std::unordered_set<SymbolId> right_vars;
+  bool scan = options.strategy == ContainmentStrategy::kScan;
+  {
+    RELCONT_TRACE_SPAN("build_plans");
+    RELCONT_ASSIGN_OR_RETURN(
+        CompiledPair pair,
+        CompilePair(q1, q2, inverse, interner, options.unfold, !scan));
+    scan = scan || !pair.factorable ||
+           (options.strategy == ContainmentStrategy::kAuto &&
+            WidthEstimate(pair) < options.cegar.auto_width_threshold);
+    if (scan) {
+      RELCONT_ASSIGN_OR_RETURN(out.plan1,
+                               PlanToUnion(q1.program, q1.goal, inverse,
+                                           interner, options.unfold));
+      RELCONT_ASSIGN_OR_RETURN(out.plan2,
+                               PlanToUnion(q2.program, q2.goal, inverse,
+                                           interner, options.unfold));
+    } else {
+      left = LeftTemplates(pair, interner);
+      right = RightTemplates(pair, interner, &right_vars);
+    }
+  }
+  if (scan) return ScanPlans(std::move(out), options.parallel_workers);
+
   CegarStats local;
-  Result<RelativeContainmentResult> out =
-      CegarImpl(q1, q2, views, interner, options, &local);
+  Result<bool> found = false;
+  {
+    RELCONT_TRACE_SPAN("cegar_search");
+    CegarSearch search(std::move(left), std::move(right),
+                       std::move(right_vars), options.cegar, &local);
+    found = search.Run();
+    if (found.ok() && *found) out.witness = search.witness();
+  }
   // Publish on EVERY exit path — a budget-tripped run still accounts for
   // the proposals and checks it performed (the budget-trip property test
   // pins trace deltas against these numbers).
@@ -654,7 +675,22 @@ Result<RelativeContainmentResult> CegarRelativelyContained(
   g.blocking_clauses.fetch_add(local.blocking_clauses,
                                std::memory_order_relaxed);
   g.proposals.fetch_add(local.proposals, std::memory_order_relaxed);
+  RELCONT_RETURN_NOT_OK(found.status());
+  // plan1/plan2 stay empty by design: the engine never materializes them.
+  out.contained = !*found;
   return out;
+}
+
+Result<RelativeContainmentResult> CegarRelativelyContained(
+    const GoalQuery& q1, const GoalQuery& q2, const ViewSet& views,
+    Interner* interner, const RelativeContainmentOptions& options,
+    CegarStats* stats, const InverseRuleIndex* inverse) {
+  // kScan here still means the search: only kAuto may pick the scan.
+  RelativeContainmentOptions cegar = options;
+  if (cegar.strategy == ContainmentStrategy::kScan) {
+    cegar.strategy = ContainmentStrategy::kCegar;
+  }
+  return DecideCompiledPair(q1, q2, views, inverse, interner, cegar, stats);
 }
 
 }  // namespace relcont

@@ -52,7 +52,7 @@ namespace relcont {
 ///
 /// Known fallback: when a query IDB predicate collides with a mediated
 /// (view-body) predicate, the two-level factorization no longer mirrors
-/// the joint unfold, so the call transparently falls back to the scan
+/// the joint unfold, so the scan decides on the same compiled pair
 /// (identical verdicts by construction).
 
 /// Per-run counters, also pushed to the trace counters
@@ -82,14 +82,24 @@ CegarGlobalCounters& GlobalCegarCounters();
 
 /// Decides Q1 ⊑_V Q2 with the CEGAR engine. Honors
 /// `options.strategy == kAuto` by estimating the left plan width (the sum
-/// over templates of the product of per-atom inverse-rule choices) and
-/// delegating to the scan below CegarOptions::auto_width_threshold.
-/// `stats`, when non-null, receives the run's counters even when the
-/// result is an error.
+/// over templates of the product of per-atom inverse-rule choices, read
+/// off the index) and scanning the same compiled pair below
+/// CegarOptions::auto_width_threshold. `stats`, when non-null, receives
+/// the run's counters even when the result is an error. `inverse` as for
+/// RelativelyContained.
 Result<RelativeContainmentResult> CegarRelativelyContained(
     const GoalQuery& q1, const GoalQuery& q2, const ViewSet& views,
     Interner* interner, const RelativeContainmentOptions& options = {},
-    CegarStats* stats = nullptr);
+    CegarStats* stats = nullptr, const InverseRuleIndex* inverse = nullptr);
+
+/// The Section 3 pipeline behind both entry points: compiles the pair once
+/// against the inverse rules (`prebuilt`, or built here), then scans
+/// (kScan, or kAuto below auto_width_threshold) or searches (kCegar, kAuto
+/// at or above it); a search publishes its counters as documented above.
+Result<RelativeContainmentResult> DecideCompiledPair(
+    const GoalQuery& q1, const GoalQuery& q2, const ViewSet& views,
+    const InverseRuleIndex* prebuilt, Interner* interner,
+    const RelativeContainmentOptions& options, CegarStats* stats);
 
 }  // namespace relcont
 

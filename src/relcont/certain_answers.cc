@@ -117,6 +117,34 @@ Result<std::vector<Tuple>> CertainAnswersViaCanonical(const Program& query,
   return out;
 }
 
+void AddToDomain(std::vector<Value>* domain, const Value& v) {
+  if (std::find(domain->begin(), domain->end(), v) == domain->end()) {
+    domain->push_back(v);
+  }
+}
+
+std::vector<Atom> AllFacts(
+    const std::vector<std::pair<SymbolId, int>>& predicates,
+    const std::vector<Value>& domain) {
+  std::vector<Atom> out;
+  for (const auto& [pred, n] : predicates) {
+    std::vector<Tuple> tuples = {{}};
+    for (int i = 0; i < n; ++i) {
+      std::vector<Tuple> next;
+      for (const Tuple& t : tuples) {
+        for (const Value& v : domain) {
+          Tuple extended = t;
+          extended.push_back(Term::Constant(v));
+          next.push_back(std::move(extended));
+        }
+      }
+      tuples = std::move(next);
+    }
+    for (Tuple& t : tuples) out.emplace_back(pred, std::move(t));
+  }
+  return out;
+}
+
 namespace {
 
 // Evaluates a single view on a database, returning its answer tuples.
@@ -138,18 +166,12 @@ Result<std::vector<Tuple>> BruteForceCertainAnswers(
   // Domain: instance active domain + constants of query and views + fresh
   // constants.
   std::vector<Value> domain = instance.ActiveDomain();
-  auto add_value = [&](const Value& v) {
-    for (const Value& w : domain) {
-      if (w == v) return;
-    }
-    domain.push_back(v);
-  };
-  for (const Value& v : views.Constants()) add_value(v);
-  for (const Value& v : query.Constants()) add_value(v);
+  for (const Value& v : views.Constants()) AddToDomain(&domain, v);
+  for (const Value& v : query.Constants()) AddToDomain(&domain, v);
   std::vector<Value> fresh;
   for (int i = 0; i < options.extra_constants; ++i) {
     fresh.push_back(Value::Symbol(interner->Fresh("_w")));
-    add_value(fresh.back());
+    AddToDomain(&domain, fresh.back());
   }
 
   // Mediated predicates and their arities.
@@ -164,23 +186,7 @@ Result<std::vector<Tuple>> BruteForceCertainAnswers(
     }
   }
 
-  // All potential mediated facts.
-  std::vector<Atom> potential;
-  for (const auto& [pred, n] : arity) {
-    std::vector<Tuple> tuples = {{}};
-    for (int i = 0; i < n; ++i) {
-      std::vector<Tuple> next;
-      for (const Tuple& t : tuples) {
-        for (const Value& v : domain) {
-          Tuple extended = t;
-          extended.push_back(Term::Constant(v));
-          next.push_back(std::move(extended));
-        }
-      }
-      tuples = std::move(next);
-    }
-    for (Tuple& t : tuples) potential.emplace_back(pred, std::move(t));
-  }
+  std::vector<Atom> potential = AllFacts({arity.begin(), arity.end()}, domain);
   if (static_cast<int>(potential.size()) > options.max_potential_facts) {
     return Status::BoundReached(
         "brute-force space too large: " + std::to_string(potential.size()) +

@@ -77,6 +77,16 @@ Result<std::vector<Tuple>> CertainAnswersViaCanonical(const Program& query,
                                                       const Database& instance,
                                                       Interner* interner);
 
+/// Appends `v` to `domain` unless it is already there.
+void AddToDomain(std::vector<Value>* domain, const Value& v);
+
+/// Every atom over `predicates` ((name, arity), in order) whose arguments
+/// come from `domain`: the candidate facts the brute-force oracles
+/// enumerate subsets of.
+std::vector<Atom> AllFacts(
+    const std::vector<std::pair<SymbolId, int>>& predicates,
+    const std::vector<Value>& domain);
+
 struct BruteForceOptions {
   /// Fresh constants added to the active domain of the instance when
   /// enumerating candidate databases.

@@ -5,35 +5,6 @@
 
 namespace relcont {
 
-namespace {
-
-// Enumerates candidate tuples for every source predicate over the domain.
-std::vector<Atom> PotentialFacts(const ViewSet& views,
-                                 const std::vector<Value>& domain) {
-  std::vector<Atom> out;
-  for (const ViewDefinition& v : views.views()) {
-    int arity = v.rule.head.arity();
-    std::vector<Tuple> tuples = {{}};
-    for (int i = 0; i < arity; ++i) {
-      std::vector<Tuple> next;
-      for (const Tuple& t : tuples) {
-        for (const Value& val : domain) {
-          Tuple extended = t;
-          extended.push_back(Term::Constant(val));
-          next.push_back(std::move(extended));
-        }
-      }
-      tuples = std::move(next);
-    }
-    for (Tuple& t : tuples) {
-      out.emplace_back(v.source_predicate(), std::move(t));
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 Result<std::optional<CwaRefutation>> RefuteCwaContainment(
     const GoalQuery& q1, const GoalQuery& q2, const ViewSet& views,
     Interner* interner, const CwaRefuterOptions& options) {
@@ -44,20 +15,18 @@ Result<std::optional<CwaRefutation>> RefuteCwaContainment(
 
   // Domain: query/view constants plus fresh symbols.
   std::vector<Value> domain;
-  auto add_value = [&](const Value& v) {
-    for (const Value& w : domain) {
-      if (w == v) return;
-    }
-    domain.push_back(v);
-  };
-  for (const Value& v : views.Constants()) add_value(v);
-  for (const Value& v : q1.program.Constants()) add_value(v);
-  for (const Value& v : q2.program.Constants()) add_value(v);
+  for (const Value& v : views.Constants()) AddToDomain(&domain, v);
+  for (const Value& v : q1.program.Constants()) AddToDomain(&domain, v);
+  for (const Value& v : q2.program.Constants()) AddToDomain(&domain, v);
   for (int i = 0; i < options.domain_size; ++i) {
-    add_value(Value::Symbol(interner->Fresh("_cw")));
+    AddToDomain(&domain, Value::Symbol(interner->Fresh("_cw")));
   }
 
-  std::vector<Atom> potential = PotentialFacts(complete_views, domain);
+  std::vector<std::pair<SymbolId, int>> sources;
+  for (const ViewDefinition& v : complete_views.views()) {
+    sources.emplace_back(v.source_predicate(), v.rule.head.arity());
+  }
+  std::vector<Atom> potential = AllFacts(sources, domain);
 
   // Enumerate instances with at most max_instance_facts facts.
   std::vector<int> chosen;

@@ -55,7 +55,7 @@ Regime ParseRegime(std::string_view name) {
 Result<Decision> DecideRelativeContainment(
     const GoalQuery& q1, const GoalQuery& q2, const ViewSet& views,
     const BindingPatterns& patterns, Interner* interner,
-    const DecideOptions& options) {
+    const DecideOptions& options, const InverseRuleIndex* inverse) {
   RELCONT_TRACE_SPAN("decide");
   // Library-direct callers with budget options but no installed budget get
   // a local root budget for this call. When a budget is already installed
@@ -74,6 +74,10 @@ Result<Decision> DecideRelativeContainment(
   }
   bool comparisons = HasComparisons(q1.program) || HasComparisons(q2.program) ||
                      HasComparisons(views);
+  RelativeContainmentOptions rel_opts;
+  rel_opts.unfold = options.unfold;
+  rel_opts.parallel_workers = options.parallel_workers;
+  rel_opts.strategy = options.strategy;  // read by the section3 regime only
   Decision out;
   if (!patterns.empty()) {
     if (comparisons) {
@@ -94,23 +98,16 @@ Result<Decision> DecideRelativeContainment(
   if (comparisons) {
     if (!HasComparisons(q1.program)) {
       RELCONT_TRACE_SPAN("regime_theorem52");
-      RelativeContainmentOptions rel_opts;
-      rel_opts.unfold = options.unfold;
-      rel_opts.parallel_workers = options.parallel_workers;
       Rule witness;
       RELCONT_ASSIGN_OR_RETURN(
-          bool contained,
+          out.contained,
           RelativelyContainedViaExpansion(q1, q2, views, interner, rel_opts,
-                                          &witness));
-      out.contained = contained;
+                                          &witness, inverse));
       out.regime = Regime::kTheorem52;
-      if (!contained) out.witness = witness;
+      if (!out.contained) out.witness = witness;
       return out;
     }
     RELCONT_TRACE_SPAN("regime_theorem51");
-    RelativeContainmentOptions rel_opts;
-    rel_opts.unfold = options.unfold;
-    rel_opts.parallel_workers = options.parallel_workers;
     RELCONT_ASSIGN_OR_RETURN(
         RelativeContainmentResult r,
         RelativelyContainedWithComparisons(q1, q2, views, interner, rel_opts));
@@ -126,22 +123,17 @@ Result<Decision> DecideRelativeContainment(
     rec_opts.max_rule_applications = options.max_rule_applications;
     Rule witness;
     RELCONT_ASSIGN_OR_RETURN(
-        bool contained,
+        out.contained,
         RelativelyContainedOneRecursive(q1, q2, views, interner, rec_opts,
-                                        &witness));
-    out.contained = contained;
+                                        &witness, inverse));
     out.regime = Regime::kTheorem32;
-    if (!contained) out.witness = witness;
+    if (!out.contained) out.witness = witness;
     return out;
   }
   RELCONT_TRACE_SPAN("regime_section3");
-  RelativeContainmentOptions rel_opts;
-  rel_opts.unfold = options.unfold;
-  rel_opts.parallel_workers = options.parallel_workers;
-  rel_opts.strategy = options.strategy;
   RELCONT_ASSIGN_OR_RETURN(
       RelativeContainmentResult r,
-      RelativelyContained(q1, q2, views, interner, rel_opts));
+      RelativelyContained(q1, q2, views, interner, rel_opts, inverse));
   out.contained = r.contained;
   out.regime = Regime::kSection3;
   out.witness = r.witness;

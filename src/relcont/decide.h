@@ -91,10 +91,12 @@ struct Decision {
 /// constants). Interner is NOT thread-safe, so concurrent callers must not
 /// share one — give each thread its own Interner and parse the inputs
 /// against it (see service/service.h for the worker-arena pattern).
+/// `inverse`: as for RelativelyContained.
 Result<Decision> DecideRelativeContainment(
     const GoalQuery& q1, const GoalQuery& q2, const ViewSet& views,
     const BindingPatterns& patterns, Interner* interner,
-    const DecideOptions& options = {});
+    const DecideOptions& options = {},
+    const InverseRuleIndex* inverse = nullptr);
 
 }  // namespace relcont
 

@@ -1,8 +1,8 @@
 #include "relcont/gav.h"
 
-#include "containment/cq_containment.h"
 #include "datalog/parser.h"
 #include "eval/evaluator.h"
+#include "rewriting/inverse_rules.h"
 
 namespace relcont {
 
@@ -40,22 +40,9 @@ Result<UnionQuery> GavSchema::Compose(const Program& query, SymbolId goal,
     return Status::InvalidArgument(
         "query predicates collide with GAV definitions");
   }
-  RELCONT_ASSIGN_OR_RETURN(UnionQuery composed,
-                           UnfoldToUnion(combined, goal, interner, options));
   // A query subgoal over a mediated relation with no definition can never
-  // produce answers; unfolding leaves it as an EDB atom, so filter.
-  UnionQuery out;
-  for (Rule& d : composed.disjuncts) {
-    bool answerable = true;
-    for (const Atom& a : d.body) {
-      if (sources.count(a.predicate) == 0) {
-        answerable = false;
-        break;
-      }
-    }
-    if (answerable) out.disjuncts.push_back(std::move(d));
-  }
-  return out;
+  // produce answers; the plan unfold drops those disjuncts.
+  return PlanToUnion(combined, goal, sources, interner, options);
 }
 
 Result<GavSchema> ParseGavSchema(std::string_view text, Interner* interner) {
@@ -73,17 +60,7 @@ Result<RelativeContainmentResult> GavRelativelyContained(
       out.plan1, schema.Compose(q1.program, q1.goal, interner, options));
   RELCONT_ASSIGN_OR_RETURN(
       out.plan2, schema.Compose(q2.program, q2.goal, interner, options));
-  out.contained = true;
-  for (const Rule& d : out.plan1.disjuncts) {
-    RELCONT_ASSIGN_OR_RETURN(bool contained,
-                             CqContainedInUnion(d, out.plan2));
-    if (!contained) {
-      out.contained = false;
-      out.witness = d;
-      break;
-    }
-  }
-  return out;
+  return ScanPlans(std::move(out), /*parallel_workers=*/1);
 }
 
 Result<std::vector<Tuple>> GavCertainAnswers(const Program& query,

@@ -113,35 +113,26 @@ Result<std::optional<size_t>> FindUncoveredDisjunct(
 
 }  // namespace
 
-Result<RelativeContainmentResult> RelativelyContained(
-    const GoalQuery& q1, const GoalQuery& q2, const ViewSet& views,
-    Interner* interner, const RelativeContainmentOptions& options) {
-  if (options.strategy != ContainmentStrategy::kScan) {
-    // kCegar and kAuto route through the CEGAR engine (which itself
-    // delegates narrow instances back here with strategy forced to kScan).
-    return CegarRelativelyContained(q1, q2, views, interner, options);
-  }
-  RelativeContainmentResult out;
-  {
-    RELCONT_TRACE_SPAN("build_plans");
-    RELCONT_ASSIGN_OR_RETURN(
-        Program p1, MaximallyContainedPlan(q1.program, views, interner));
-    RELCONT_ASSIGN_OR_RETURN(
-        Program p2, MaximallyContainedPlan(q2.program, views, interner));
-    RELCONT_ASSIGN_OR_RETURN(
-        out.plan1, PlanToUnion(p1, q1.goal, views, interner, options.unfold));
-    RELCONT_ASSIGN_OR_RETURN(
-        out.plan2, PlanToUnion(p2, q2.goal, views, interner, options.unfold));
-  }
+Result<RelativeContainmentResult> ScanPlans(
+    RelativeContainmentResult out, int parallel_workers,
+    Result<bool> (*contained)(const Rule&, const UnionQuery&)) {
   RELCONT_TRACE_SPAN("containment_check");
   RELCONT_ASSIGN_OR_RETURN(
       std::optional<size_t> uncovered,
       FindUncoveredDisjunct(
-          out.plan1.disjuncts, options.parallel_workers,
-          [&](const Rule& d) { return CqContainedInUnion(d, out.plan2); }));
+          out.plan1.disjuncts, parallel_workers,
+          [&](const Rule& d) { return contained(d, out.plan2); }));
   out.contained = !uncovered.has_value();
   if (uncovered.has_value()) out.witness = out.plan1.disjuncts[*uncovered];
   return out;
+}
+
+Result<RelativeContainmentResult> RelativelyContained(
+    const GoalQuery& q1, const GoalQuery& q2, const ViewSet& views,
+    Interner* interner, const RelativeContainmentOptions& options,
+    const InverseRuleIndex* inverse) {
+  return DecideCompiledPair(q1, q2, views, inverse, interner, options,
+                            nullptr);
 }
 
 Result<bool> RelativelyEquivalent(const GoalQuery& q1, const GoalQuery& q2,
@@ -159,7 +150,8 @@ Result<bool> RelativelyEquivalent(const GoalQuery& q1, const GoalQuery& q2,
 
 Result<bool> RelativelyContainedOneRecursive(
     const GoalQuery& q1, const GoalQuery& q2, const ViewSet& views,
-    Interner* interner, const OneRecursiveOptions& options, Rule* witness) {
+    Interner* interner, const OneRecursiveOptions& options, Rule* witness,
+    const InverseRuleIndex* inverse) {
   bool q1_recursive = q1.program.IsRecursive();
   bool q2_recursive = q2.program.IsRecursive();
   if (q1_recursive && q2_recursive) {
@@ -168,8 +160,9 @@ Result<bool> RelativelyContainedOneRecursive(
         "two recursive datalog programs is undecidable [Shmueli]");
   }
   if (!q1_recursive && !q2_recursive) {
-    RELCONT_ASSIGN_OR_RETURN(RelativeContainmentResult plain,
-                             RelativelyContained(q1, q2, views, interner));
+    RELCONT_ASSIGN_OR_RETURN(
+        RelativeContainmentResult plain,
+        RelativelyContained(q1, q2, views, interner, {}, inverse));
     if (!plain.contained && witness != nullptr && plain.witness.has_value()) {
       *witness = *plain.witness;
     }
@@ -178,16 +171,17 @@ Result<bool> RelativelyContainedOneRecursive(
   if (q2_recursive) {
     // Exact: UCQ plan of Q1 contained in the recursive plan of Q2, by
     // canonical databases.
+    std::optional<InverseRuleIndex> local;
+    RELCONT_ASSIGN_OR_RETURN(const InverseRuleIndex* index,
+                             UseOrBuildIndex(views, inverse, interner, &local));
     UnionQuery plan1;
     Program p2;
     {
       RELCONT_TRACE_SPAN("build_plans");
       RELCONT_ASSIGN_OR_RETURN(
-          Program p1, MaximallyContainedPlan(q1.program, views, interner));
-      RELCONT_ASSIGN_OR_RETURN(
-          plan1, PlanToUnion(p1, q1.goal, views, interner, options.unfold));
-      RELCONT_ASSIGN_OR_RETURN(
-          p2, MaximallyContainedPlan(q2.program, views, interner));
+          plan1, MaximallyContainedUnion(q1.program, q1.goal, *index,
+                                         interner, options.unfold));
+      RELCONT_ASSIGN_OR_RETURN(p2, MaximallyContainedPlan(q2.program, *index));
     }
     RELCONT_TRACE_SPAN("containment_check");
     return UnionContainedInDatalog(plan1, p2, q2.goal, interner, witness);
@@ -226,28 +220,21 @@ Result<bool> RelativelyContainedOneRecursive(
 Result<std::set<SymbolId>> RelevantSources(const GoalQuery& query,
                                            const ViewSet& views,
                                            Interner* interner) {
+  RELCONT_ASSIGN_OR_RETURN(InverseRuleIndex inverse,
+                           InverseRuleIndex::Build(views, interner));
   RELCONT_ASSIGN_OR_RETURN(
-      Program plan, MaximallyContainedPlan(query.program, views, interner));
-  RELCONT_ASSIGN_OR_RETURN(UnionQuery full,
-                           PlanToUnion(plan, query.goal, views, interner));
+      UnionQuery full,
+      MaximallyContainedUnion(query.program, query.goal, inverse, interner));
   std::set<SymbolId> relevant;
-  for (const ViewDefinition& dropped : views.views()) {
-    ViewSet fewer;
-    for (const ViewDefinition& v : views.views()) {
-      if (v.source_predicate() != dropped.source_predicate()) {
-        RELCONT_RETURN_NOT_OK(fewer.Add(v));
-      }
-    }
-    RELCONT_ASSIGN_OR_RETURN(
-        Program reduced_plan,
-        MaximallyContainedPlan(query.program, fewer, interner));
+  for (SymbolId dropped : inverse.sources()) {
     RELCONT_ASSIGN_OR_RETURN(
         UnionQuery reduced,
-        PlanToUnion(reduced_plan, query.goal, fewer, interner));
+        PlanToUnion(query.program, query.goal, inverse.Without(dropped),
+                    interner));
     // The reduced plan is always contained in the full one; the source is
     // relevant iff the converse fails.
     RELCONT_ASSIGN_OR_RETURN(bool same, UnionContainedInUnion(full, reduced));
-    if (!same) relevant.insert(dropped.source_predicate());
+    if (!same) relevant.insert(dropped);
   }
   return relevant;
 }
@@ -255,38 +242,34 @@ Result<std::set<SymbolId>> RelevantSources(const GoalQuery& query,
 Result<bool> RelativelyContainedViaExpansion(
     const GoalQuery& q1, const GoalQuery& q2, const ViewSet& views,
     Interner* interner, const RelativeContainmentOptions& options,
-    Rule* witness) {
+    Rule* witness, const InverseRuleIndex* inverse) {
   for (const Rule& r : q1.program.rules) {
     if (!r.comparisons.empty()) {
       return Status::Unsupported(
           "Theorem 5.2 requires the contained query to be comparison-free");
     }
   }
-  UnionQuery p1_exp;
-  UnionQuery q2_ucq;
+  std::optional<InverseRuleIndex> local;
+  RELCONT_ASSIGN_OR_RETURN(const InverseRuleIndex* index,
+                           UseOrBuildIndex(views, inverse, interner, &local));
+  RelativeContainmentResult plans;  // P1^exp against Q2's unfold
   {
     RELCONT_TRACE_SPAN("build_plans");
     RELCONT_ASSIGN_OR_RETURN(
-        Program p1, MaximallyContainedPlan(q1.program, views, interner));
+        UnionQuery plan1, MaximallyContainedUnion(q1.program, q1.goal, *index,
+                                                  interner, options.unfold));
+    RELCONT_ASSIGN_OR_RETURN(plans.plan1,
+                             ExpandUnionPlan(plan1, views, interner));
     RELCONT_ASSIGN_OR_RETURN(
-        UnionQuery plan1, PlanToUnion(p1, q1.goal, views, interner,
-                                      options.unfold));
-    RELCONT_ASSIGN_OR_RETURN(p1_exp, ExpandUnionPlan(plan1, views, interner));
-    RELCONT_ASSIGN_OR_RETURN(
-        q2_ucq, UnfoldToUnion(q2.program, q2.goal, interner, options.unfold));
+        plans.plan2,
+        UnfoldToUnion(q2.program, q2.goal, interner, options.unfold));
   }
-  RELCONT_TRACE_SPAN("containment_check");
   RELCONT_ASSIGN_OR_RETURN(
-      std::optional<size_t> uncovered,
-      FindUncoveredDisjunct(p1_exp.disjuncts, options.parallel_workers,
-                            [&](const Rule& d) {
-                              return CqContainedInUnionComplete(d, q2_ucq);
-                            }));
-  if (uncovered.has_value()) {
-    if (witness != nullptr) *witness = p1_exp.disjuncts[*uncovered];
-    return false;
-  }
-  return true;
+      RelativeContainmentResult r,
+      ScanPlans(std::move(plans), options.parallel_workers,
+                CqContainedInUnionComplete));
+  if (!r.contained && witness != nullptr) *witness = *r.witness;
+  return r.contained;
 }
 
 Result<RelativeContainmentResult> RelativelyContainedWithComparisons(

@@ -4,10 +4,13 @@
 #include <optional>
 #include <string_view>
 
+#include "containment/cq_containment.h"
 #include "datalog/unfold.h"
 #include "rewriting/views.h"
 
 namespace relcont {
+
+class InverseRuleIndex;
 
 /// Relative containment, Definition 2.3:  Q1 ⊑_V Q2  iff for every source
 /// instance I, certain(Q1, I) ⊆ certain(Q2, I).
@@ -99,9 +102,21 @@ struct RelativeContainmentResult {
 
 /// Decides Q1 ⊑_V Q2 (Theorem 3.1 procedure). Queries must be
 /// nonrecursive, comparison-free, and posed over the mediated schema.
+///
+/// Here and below, a non-null `inverse` is InverseRuleIndex::Build(views)
+/// on the same interner (the service keeps one per catalog version).
 Result<RelativeContainmentResult> RelativelyContained(
     const GoalQuery& q1, const GoalQuery& q2, const ViewSet& views,
-    Interner* interner, const RelativeContainmentOptions& options = {});
+    Interner* interner, const RelativeContainmentOptions& options = {},
+    const InverseRuleIndex* inverse = nullptr);
+
+/// The Theorem 3.1 check over built plans: each disjunct of plans.plan1
+/// against plans.plan2 by `contained`, on up to `parallel_workers` threads.
+/// Sets contained and, on a counterexample, the witness.
+Result<RelativeContainmentResult> ScanPlans(
+    RelativeContainmentResult plans, int parallel_workers,
+    Result<bool> (*contained)(const Rule&, const UnionQuery&) =
+        CqContainedInUnion);
 
 /// Convenience: both directions.
 Result<bool> RelativelyEquivalent(const GoalQuery& q1, const GoalQuery& q2,
@@ -118,7 +133,7 @@ Result<bool> RelativelyEquivalent(const GoalQuery& q1, const GoalQuery& q2,
 Result<bool> RelativelyContainedViaExpansion(
     const GoalQuery& q1, const GoalQuery& q2, const ViewSet& views,
     Interner* interner, const RelativeContainmentOptions& options = {},
-    Rule* witness = nullptr);
+    Rule* witness = nullptr, const InverseRuleIndex* inverse = nullptr);
 
 /// Theorem 3.2: relative containment is decidable when at most one of the
 /// two queries is recursive. The two directions differ sharply:
@@ -146,7 +161,7 @@ struct OneRecursiveOptions {
 Result<bool> RelativelyContainedOneRecursive(
     const GoalQuery& q1, const GoalQuery& q2, const ViewSet& views,
     Interner* interner, const OneRecursiveOptions& options = {},
-    Rule* witness = nullptr);
+    Rule* witness = nullptr, const InverseRuleIndex* inverse = nullptr);
 
 /// The sources that MATTER for a (nonrecursive, comparison-free) query:
 /// dropping an irrelevant source provably never changes the query's

@@ -1,5 +1,6 @@
 #include "rewriting/inverse_rules.h"
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "datalog/substitution.h"
@@ -39,12 +40,57 @@ Result<Program> InvertViews(const ViewSet& views, Interner* interner) {
   return out;
 }
 
-Result<Program> MaximallyContainedPlan(const Program& query,
-                                       const ViewSet& views,
-                                       Interner* interner) {
+Result<InverseRuleIndex> InverseRuleIndex::Build(const ViewSet& views,
+                                                 Interner* interner) {
   RELCONT_TRACE_SPAN("plan_inverse_rules");
+  RELCONT_ASSIGN_OR_RETURN(Program inverse, InvertViews(views, interner));
+  InverseRuleIndex out;
+  out.sources_ = views.SourcePredicates();
+  out.SetRules(std::move(inverse.rules));
+  return out;
+}
+
+void InverseRuleIndex::SetRules(std::vector<Rule> rules) {
+  std::stable_sort(rules.begin(), rules.end(),
+                   [](const Rule& a, const Rule& b) {
+                     return a.head.predicate < b.head.predicate;
+                   });
+  rules_ = std::move(rules);
+  ranges_.clear();
+  for (uint32_t i = 0; i < rules_.size(); ++i) {
+    ++ranges_.try_emplace(rules_[i].head.predicate, i, 0).first->second.second;
+  }
+}
+
+std::span<const Rule> InverseRuleIndex::RulesFor(SymbolId pred) const {
+  auto it = ranges_.find(pred);
+  if (it == ranges_.end()) return {};
+  return {rules_.data() + it->second.first, it->second.second};
+}
+
+InverseRuleIndex InverseRuleIndex::Without(SymbolId source) const {
+  InverseRuleIndex out;
+  out.sources_ = sources_;
+  out.sources_.erase(source);
+  std::vector<Rule> kept;
+  for (const Rule& r : rules_) {
+    if (r.body[0].predicate != source) kept.push_back(r);
+  }
+  out.SetRules(std::move(kept));
+  return out;
+}
+
+Result<const InverseRuleIndex*> UseOrBuildIndex(
+    const ViewSet& views, const InverseRuleIndex* prebuilt,
+    Interner* interner, std::optional<InverseRuleIndex>* local) {
+  if (prebuilt != nullptr) return prebuilt;
+  RELCONT_ASSIGN_OR_RETURN(*local, InverseRuleIndex::Build(views, interner));
+  return &**local;
+}
+
+Status CheckPlanQuery(const Program& query,
+                      const std::set<SymbolId>& sources) {
   RELCONT_RETURN_NOT_OK(query.CheckSafe());
-  std::set<SymbolId> sources = views.SourcePredicates();
   for (const Rule& r : query.rules) {
     if (!r.comparisons.empty()) {
       return Status::Unsupported(
@@ -57,28 +103,84 @@ Result<Program> MaximallyContainedPlan(const Program& query,
       }
     }
   }
+  return Status::OK();
+}
+
+Result<Program> MaximallyContainedPlan(const Program& query,
+                                       const ViewSet& views,
+                                       Interner* interner) {
+  RELCONT_TRACE_SPAN("plan_inverse_rules");
+  RELCONT_RETURN_NOT_OK(CheckPlanQuery(query, views.SourcePredicates()));
   RELCONT_ASSIGN_OR_RETURN(Program plan, InvertViews(views, interner));
   Program out = query;
   for (Rule& r : plan.rules) out.rules.push_back(std::move(r));
   return out;
 }
 
+Result<Program> MaximallyContainedPlan(const Program& query,
+                                       const InverseRuleIndex& inverse) {
+  RELCONT_RETURN_NOT_OK(CheckPlanQuery(query, inverse.sources()));
+  Program out = query;
+  out.rules.insert(out.rules.end(), inverse.rules().begin(),
+                   inverse.rules().end());
+  return out;
+}
+
 namespace {
 
-bool RuleHasFunctionTerm(const Rule& r) {
-  auto term_has = [](const Term& t) { return t.is_function(); };
-  for (const Term& t : r.head.args) {
-    if (term_has(t)) return true;
-  }
-  for (const Atom& a : r.body) {
-    for (const Term& t : a.args) {
-      if (term_has(t)) return true;
-    }
-  }
-  for (const Comparison& c : r.comparisons) {
-    if (term_has(c.lhs) || term_has(c.rhs)) return true;
+bool HasFunctionArg(const Atom& a) {
+  for (const Term& t : a.args) {
+    if (t.is_function()) return true;
   }
   return false;
+}
+
+/// The unfold behind PlanToUnion: `program` (a whole plan, or a query
+/// whose other rules are `inverse`'s) unfolded with every branch cut whose
+/// disjuncts the function-term elimination would all drop. Resolution only
+/// instantiates the head and the final (non-IDB) subgoals and never
+/// removes a function symbol, so a function term there, or a final
+/// subgoal no source covers, stays in every disjunct below.
+Result<UnionQuery> PrunedUnfold(const Program& program, SymbolId goal,
+                                const InverseRuleIndex* inverse,
+                                const std::set<SymbolId>& sources,
+                                Interner* interner,
+                                const UnfoldOptions& options) {
+  std::set<SymbolId> idb = program.IdbPredicates();
+  auto is_final = [&](SymbolId pred) {
+    return idb.count(pred) == 0 &&
+           (inverse == nullptr || !inverse->Defines(pred));
+  };
+  auto dead = [&](const Rule& rule, bool leaf) {
+    if (HasFunctionArg(rule.head)) return true;
+    for (const Atom& a : rule.body) {
+      if (is_final(a.predicate) &&
+          (sources.count(a.predicate) == 0 || HasFunctionArg(a))) {
+        return true;
+      }
+    }
+    if (!leaf) return false;
+    for (const Comparison& c : rule.comparisons) {
+      if (c.lhs.is_function() || c.rhs.is_function()) return true;
+    }
+    return false;
+  };
+  UnfoldExtension extension;
+  if (inverse != nullptr) {
+    extension.more_rules = [inverse](SymbolId pred) {
+      return inverse->RulesFor(pred);
+    };
+  }
+  extension.cut = [&](const Rule& rule, bool leaf) {
+    if (!dead(rule, leaf)) return false;
+    RELCONT_TRACE_COUNT(kPlanDisjunctsDropped, 1);
+    return true;
+  };
+  RELCONT_ASSIGN_OR_RETURN(
+      UnionQuery out,
+      UnfoldToUnion(program, goal, extension, interner, options));
+  RELCONT_TRACE_COUNT(kPlanDisjunctsKept, out.disjuncts.size());
+  return out;
 }
 
 }  // namespace
@@ -86,31 +188,45 @@ bool RuleHasFunctionTerm(const Rule& r) {
 Result<UnionQuery> PlanToUnion(const Program& plan, SymbolId goal,
                                const ViewSet& views, Interner* interner,
                                const UnfoldOptions& options) {
+  return PlanToUnion(plan, goal, views.SourcePredicates(), interner, options);
+}
+
+Result<UnionQuery> PlanToUnion(const Program& plan, SymbolId goal,
+                               const std::set<SymbolId>& sources,
+                               Interner* interner,
+                               const UnfoldOptions& options) {
   RELCONT_TRACE_SPAN("plan_to_union");
-  RELCONT_ASSIGN_OR_RETURN(UnionQuery unfolded,
-                           UnfoldToUnion(plan, goal, interner, options));
-  std::set<SymbolId> sources = views.SourcePredicates();
-  UnionQuery out;
-  for (Rule& d : unfolded.disjuncts) {
-    if (RuleHasFunctionTerm(d)) {
-      RELCONT_TRACE_COUNT(kPlanDisjunctsDropped, 1);
-      continue;
+  return PrunedUnfold(plan, goal, nullptr, sources, interner, options);
+}
+
+Result<UnionQuery> PlanToUnion(const Program& query, SymbolId goal,
+                               const InverseRuleIndex& inverse,
+                               Interner* interner,
+                               const UnfoldOptions& options) {
+  RELCONT_TRACE_SPAN("plan_to_union");
+  // Inverse rules read only sources, so they close a cycle only through a
+  // query rule whose head is a source predicate.
+  for (SymbolId idb : query.IdbPredicates()) {
+    if (inverse.sources().count(idb) == 0) continue;
+    Program plan = query;
+    plan.rules.insert(plan.rules.end(), inverse.rules().begin(),
+                      inverse.rules().end());
+    if (plan.IsRecursive()) {
+      return Status::Unsupported("cannot unfold a recursive program");
     }
-    bool answerable = true;
-    for (const Atom& a : d.body) {
-      if (sources.count(a.predicate) == 0) {
-        answerable = false;  // mediated relation no source covers
-        break;
-      }
-    }
-    if (answerable) {
-      RELCONT_TRACE_COUNT(kPlanDisjunctsKept, 1);
-      out.disjuncts.push_back(std::move(d));
-    } else {
-      RELCONT_TRACE_COUNT(kPlanDisjunctsDropped, 1);
-    }
+    break;
   }
-  return out;
+  return PrunedUnfold(query, goal, &inverse, inverse.sources(), interner,
+                      options);
+}
+
+Result<UnionQuery> MaximallyContainedUnion(const Program& query,
+                                           SymbolId goal,
+                                           const InverseRuleIndex& inverse,
+                                           Interner* interner,
+                                           const UnfoldOptions& options) {
+  RELCONT_RETURN_NOT_OK(CheckPlanQuery(query, inverse.sources()));
+  return PlanToUnion(query, goal, inverse, interner, options);
 }
 
 Result<UnionQuery> ExpandUnionPlan(const UnionQuery& plan,

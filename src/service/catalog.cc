@@ -2,8 +2,12 @@
 
 namespace relcont {
 
-Result<MaterializedCatalog> MaterializeCatalog(const CatalogSpec& spec,
-                                               Interner* interner) {
+namespace {
+
+/// MaterializeCatalog without the inverse rules: what registration needs
+/// to validate a spec.
+Result<MaterializedCatalog> ParseCatalog(const CatalogSpec& spec,
+                                         Interner* interner) {
   MaterializedCatalog out;
   out.version = spec.version;
   RELCONT_ASSIGN_OR_RETURN(out.views, ParseViews(spec.views_text, interner));
@@ -29,6 +33,19 @@ Result<MaterializedCatalog> MaterializeCatalog(const CatalogSpec& spec,
   return out;
 }
 
+}  // namespace
+
+Result<MaterializedCatalog> MaterializeCatalog(const CatalogSpec& spec,
+                                               Interner* interner) {
+  RELCONT_ASSIGN_OR_RETURN(MaterializedCatalog out,
+                           ParseCatalog(spec, interner));
+  if (out.patterns.empty()) {
+    RELCONT_ASSIGN_OR_RETURN(out.inverse,
+                             InverseRuleIndex::Build(out.views, interner));
+  }
+  return out;
+}
+
 Result<int64_t> CatalogRegistry::Register(
     const std::string& name, std::string views_text,
     std::vector<std::pair<std::string, std::string>> patterns) {
@@ -44,7 +61,7 @@ Result<int64_t> CatalogRegistry::Register(
   {
     Interner scratch;
     RELCONT_ASSIGN_OR_RETURN(MaterializedCatalog materialized,
-                             MaterializeCatalog(*spec, &scratch));
+                             ParseCatalog(*spec, &scratch));
     spec->num_views = static_cast<int>(materialized.views.size());
   }
   int64_t version = 0;

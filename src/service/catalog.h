@@ -11,6 +11,7 @@
 
 #include "binding/adornment.h"
 #include "common/status.h"
+#include "rewriting/inverse_rules.h"
 #include "rewriting/views.h"
 
 namespace relcont {
@@ -43,10 +44,16 @@ struct MaterializedCatalog {
   int64_t version = 0;
   ViewSet views;
   BindingPatterns patterns;
+  /// The views' inverse rules, built once here: every request against
+  /// this (arena, version) resolves its plans against them. Empty when
+  /// the catalog has binding patterns: every request against such a
+  /// catalog takes a Section 4 route, which builds its own guarded plan.
+  InverseRuleIndex inverse;
 };
 
 /// Parses `spec` against `interner`: views must parse and validate, every
-/// pattern must name a declared source with a matching arity.
+/// pattern must name a declared source with a matching arity. Also builds
+/// the inverse-rule index of a catalog without binding patterns.
 Result<MaterializedCatalog> MaterializeCatalog(const CatalogSpec& spec,
                                                Interner* interner);
 

@@ -218,8 +218,9 @@ DecisionResponse ContainmentService::Decide(const DecisionRequest& request,
     BudgetScope budget_scope(&budget);
     RELCONT_ASSIGN_OR_RETURN(
         Decision decision,
-        DecideRelativeContainment(q1, q2, catalog->views, catalog->patterns,
-                                  ctx->interner(), options));
+        DecideRelativeContainment(
+            q1, q2, catalog->views, catalog->patterns, ctx->interner(),
+            options, catalog->patterns.empty() ? &catalog->inverse : nullptr));
     out.contained = decision.contained;
     out.regime = decision.regime;
     if (decision.witness.has_value()) {

@@ -201,6 +201,31 @@ TEST(FlightJsonTest, RenderedWideEventParsesWithEveryField) {
                    900000);
 }
 
+// An empty verb or regime (a request that failed before its regime was
+// known) arrives as a default string_view whose data() is null; copying
+// it must not touch memcpy (UBSan's nonnull-attribute check in CI).
+TEST(FlightJsonTest, EmptyFieldsRecordAndRenderAsEmptyStrings) {
+  WideEvent event;
+  event.request_id = 7;
+  event.set_verb("contained");
+  event.set_regime(std::string_view());
+  event.set_catalog(std::string_view());
+  event.set_bound_site(std::string_view());
+  EXPECT_STREQ(event.regime, "");
+  FlightRecorder flight({/*ring_capacity=*/8, /*arena_max_bytes=*/1024,
+                         /*head_sample_every=*/0});
+  flight.Record(event);
+  std::vector<WideEvent> recent = flight.RecentEvents();
+  ASSERT_EQ(recent.size(), 1u);
+  char buf[2048];
+  size_t len = obs::RenderWideEventJson(recent[0], buf, sizeof(buf));
+  Result<json::Value> parsed = json::Parse(std::string(buf, len));
+  ASSERT_TRUE(parsed.ok()) << buf;
+  EXPECT_EQ(parsed->Find("verb")->string_value, "contained");
+  EXPECT_EQ(parsed->Find("regime")->string_value, "");
+  EXPECT_EQ(parsed->Find("catalog")->string_value, "");
+}
+
 // ---------------------------------------------------------------------------
 // Retention policy against a deterministic window clock.
 

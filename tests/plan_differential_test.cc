@@ -6,6 +6,11 @@
 // renderings in fresh interners, so worker-arena symbol state cannot mask
 // or manufacture a difference.
 //
+// A second sweep pins the pruning plan unfold behind PlanToUnion: over
+// random-view and pattern-free path-view catalogs, both of its entry
+// points must return exactly UnfoldToUnion-then-filter, disjunct for
+// disjunct and in order (compared by canonical rule fingerprint).
+//
 // Every failure message carries the seed; replay one case with
 //   RELCONT_PLAN_DIFF_SEED=<seed> ./build/tests/plan_differential_test
 // and scale the sweep with RELCONT_PLAN_DIFF_CASES=<n>.
@@ -13,6 +18,7 @@
 #include <cstdlib>
 #include <functional>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 
@@ -21,7 +27,9 @@
 #include "binding/dom_plan.h"
 #include "containment/canonical.h"
 #include "datalog/parser.h"
+#include "datalog/unfold.h"
 #include "relcont/decide.h"
+#include "relcont/relative_containment.h"
 #include "relcont/workload.h"
 #include "rewriting/inverse_rules.h"
 #include "service/catalog.h"
@@ -177,6 +185,91 @@ TEST(PlanDifferentialTest, ServedPlanMatchesLibraryPlan) {
   if (ReplaySeedFromEnv() == std::nullopt) {
     EXPECT_GT(recursive_cases, 0);
     EXPECT_GT(ucq_cases, 0);
+  }
+}
+
+/// The function-term elimination as PlanToUnion documents it, applied
+/// after a plain unfold: drop every disjunct with a function term in its
+/// head or a subgoal, or with a subgoal over a non-source predicate.
+UnionQuery UnfoldThenFilter(const UnionQuery& unfolded,
+                            const ViewSet& views) {
+  std::set<SymbolId> sources = views.SourcePredicates();
+  auto has_function = [](const Atom& a) {
+    for (const Term& t : a.args) {
+      if (t.is_function()) return true;
+    }
+    return false;
+  };
+  UnionQuery out;
+  for (const Rule& d : unfolded.disjuncts) {
+    bool keep = !has_function(d.head);
+    for (const Atom& a : d.body) {
+      if (has_function(a) || sources.count(a.predicate) == 0) keep = false;
+    }
+    if (keep) out.disjuncts.push_back(d);
+  }
+  return out;
+}
+
+TEST(PlanDifferentialTest, PrunedPlanUnfoldMatchesUnfoldThenFilter) {
+  int pruning_cases = 0;
+  ForEachCase([&](uint64_t seed) {
+    Interner in;
+    ViewSet views;
+    Program query;
+    if (seed % 2 == 0) {
+      // The random-view fragment of the differential sweep.
+      RandomQueryOptions o;
+      o.num_atoms = 2 + static_cast<int>(seed % 3);
+      o.num_variables = 4;
+      o.num_predicates = 2 + static_cast<int>(seed % 2);
+      o.constant_probability = 0.15;
+      o.head_arity = 1 + static_cast<int>(seed / 2 % 2);
+      o.seed = seed * 6364136223846793005ULL + 1;
+      views = RandomViews(o, 3 + static_cast<int>(seed % 5), &in);
+      query.rules.push_back(RandomConjunctiveQuery(o, "q", &in));
+    } else {
+      PathViewOptions options = CaseOptions(seed);
+      options.bound_probability = 0.0;
+      PathViewWorkload workload = MakePathViewWorkload(options);
+      Result<ViewSet> parsed = ParseViews(workload.views_text, &in);
+      Result<Program> q = ParseProgram(workload.query_text, &in);
+      ASSERT_TRUE(parsed.ok() && q.ok()) << ReplayHint(seed);
+      views = std::move(*parsed);
+      query = std::move(*q);
+    }
+    SymbolId goal = query.rules[0].head.predicate;
+    Result<Program> plan = MaximallyContainedPlan(query, views, &in);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString() << ReplayHint(seed);
+    Result<UnionQuery> unfolded = UnfoldToUnion(*plan, goal, &in);
+    ASSERT_TRUE(unfolded.ok()) << ReplayHint(seed);
+    UnionQuery expected = UnfoldThenFilter(*unfolded, views);
+    if (expected.disjuncts.size() < unfolded->disjuncts.size()) {
+      ++pruning_cases;
+    }
+
+    Result<InverseRuleIndex> index = InverseRuleIndex::Build(views, &in);
+    ASSERT_TRUE(index.ok()) << ReplayHint(seed);
+    Result<UnionQuery> from_plan = PlanToUnion(*plan, goal, views, &in);
+    Result<UnionQuery> from_index = PlanToUnion(query, goal, *index, &in);
+    ASSERT_TRUE(from_plan.ok() && from_index.ok()) << ReplayHint(seed);
+    for (const UnionQuery* got : {&*from_plan, &*from_index}) {
+      ASSERT_EQ(got->disjuncts.size(), expected.disjuncts.size())
+          << "expected:\n"
+          << expected.ToString(in) << "got:\n"
+          << got->ToString(in) << ReplayHint(seed);
+      for (size_t i = 0; i < expected.disjuncts.size(); ++i) {
+        EXPECT_EQ(CanonicalRuleFingerprint(got->disjuncts[i], in),
+                  CanonicalRuleFingerprint(expected.disjuncts[i], in))
+            << "disjunct " << i << "\nexpected:\n"
+            << expected.ToString(in) << "got:\n"
+            << got->ToString(in) << ReplayHint(seed);
+      }
+    }
+  });
+  RecordProperty("pruning_cases", pruning_cases);
+  if (ReplaySeedFromEnv() == std::nullopt) {
+    EXPECT_GT(pruning_cases, 0);
   }
 }
 

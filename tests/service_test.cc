@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <string>
 #include <vector>
 
@@ -594,6 +596,32 @@ TEST(ProtocolTest, ErrorsAreLineDelimited) {
   EXPECT_NE(unknown_catalog.find("unknown catalog"), std::string::npos);
 }
 
+// A 150 KB DEFINE nesting f(...) 50 000 deep used to crash the server
+// (the recursive term parser ran off the stack). It is one ERR line now,
+// and the session keeps answering.
+TEST(ProtocolTest, DeeplyNestedTermsAnswerErrAndTheSessionSurvives) {
+  ContainmentService service;
+  ServerSession session(&service);
+  session.HandleLine("CATALOG c VIEW v(X, Y) :- p(X, Y).");
+  std::string term;
+  for (int i = 0; i < 50'000; ++i) term += "f(";
+  term += "X" + std::string(50'000, ')');
+  for (const std::string& line :
+       {"DEFINE q q(X) :- p(" + term + ", X).",
+        "CATALOG d VIEW w(X) :- p(" + term + ", X)."}) {
+    std::string reply = session.HandleLine(line);
+    EXPECT_EQ(reply.rfind("ERR", 0), 0u) << reply.substr(0, 200);
+    EXPECT_NE(reply.find("nested deeper than"), std::string::npos)
+        << reply.substr(0, 200);
+    EXPECT_EQ(std::count(reply.begin(), reply.end(), '\n'), 1);
+  }
+  EXPECT_EQ(session.HandleLine("DEFINE a a(X) :- p(X, X)."),
+            "OK query a rules=1\n");
+  EXPECT_EQ(session.HandleLine("DEFINE b b(X) :- p(X, Y)."),
+            "OK query b rules=1\n");
+  EXPECT_EQ(session.HandleLine("CONTAINED? a b @c").rfind("YES", 0), 0u);
+}
+
 TEST(ProtocolTest, BudgetOptionsParseAndSurfaceBounds) {
   ContainmentService service;
   ServerSession session(&service);
@@ -818,6 +846,64 @@ TEST_F(ServiceTraceTest, TraceCountersMatchIndependentRecount) {
             checks);
   EXPECT_EQ(response.trace->TotalCount(trace::Counter::kHomMappingCalls),
             hom_calls);
+}
+
+TEST_F(ServiceTraceTest, InverseRulesAreBuiltOncePerCatalogVersion) {
+  if (!trace::kCompiledIn) GTEST_SKIP() << "trace hooks compiled out";
+  ContainmentService service;
+  WorkerContext ctx;
+  // Two views of one body atom each: two inverse rules per build.
+  constexpr uint64_t kInverseRules = 2;
+  const ContainmentStrategy strategies[] = {ContainmentStrategy::kAuto,
+                                            ContainmentStrategy::kScan,
+                                            ContainmentStrategy::kCegar};
+  for (int version = 1; version <= 2; ++version) {
+    RegisterCars(&service);
+    for (int i = 0; i < 3; ++i) {
+      DecisionRequest request = CarRequest();
+      request.options.strategy = strategies[i];
+      DecisionResponse response = service.Decide(request, &ctx);
+      ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+      ASSERT_EQ(response.catalog_version, version);
+      // The first request of a version materializes the catalog in this
+      // worker's arena, which inverts the views; later ones reuse that.
+      EXPECT_EQ(response.trace->TotalCount(trace::Counter::kPlanRules),
+                i == 0 ? kInverseRules : 0)
+          << "version " << version << " request " << i;
+    }
+  }
+}
+
+TEST_F(ServiceTraceTest, NarrowAutoRequestBuildsItsPlansOnce) {
+  if (!trace::kCompiledIn) GTEST_SKIP() << "trace hooks compiled out";
+  ContainmentService service;
+  ServerSession session(&service);
+  session.HandleLine(
+      "CATALOG c VIEW v1(X) :- p(X, Y). VIEW v2(X, Y) :- p(X, Y), r(Y).");
+  session.HandleLine("DEFINE a a(X) :- p(X, Y), r(Y).");
+  session.HandleLine("DEFINE b b(X) :- p(X, Z).");
+  for (int round = 0; round < 2; ++round) {
+    // kAuto (the default) estimates a narrow left plan and scans it.
+    std::string out = session.HandleLine("EXPLAIN a b @c");
+    ASSERT_EQ(out.rfind("YES section3 MISS", 0), 0u) << out;
+    size_t builds = 0;
+    size_t at = 0;
+    while ((at = out.find("build_plans", at)) != std::string::npos) {
+      ++builds;
+      ++at;
+    }
+    EXPECT_EQ(builds, 1u) << out;
+    EXPECT_EQ(out.find("cegar_search"), std::string::npos) << out;
+    // The one build_plans line sits directly under regime_section3, and
+    // the plan it built is the one the scan checks.
+    EXPECT_NE(out.find("\n  regime_section3"), std::string::npos) << out;
+    EXPECT_NE(out.find("\n    build_plans"), std::string::npos) << out;
+    EXPECT_NE(out.find("\n    containment_check"), std::string::npos) << out;
+    // Inverse rules: built with the catalog on the first request only.
+    EXPECT_EQ(out.find("plan_inverse_rules") != std::string::npos,
+              round == 0)
+        << out;
+  }
 }
 
 TEST_F(ServiceTraceTest, UntracedRequestsCarryNoTrace) {

@@ -11,6 +11,7 @@
 #include "containment/cq_containment.h"
 #include "containment/homomorphism.h"
 #include "datalog/parser.h"
+#include "datalog/substitution.h"
 #include "datalog/unfold.h"
 #include "binding/adornment.h"
 #include "relcont/binding_containment.h"
@@ -328,63 +329,151 @@ TEST_F(TraceDecisionTest, HomCountersMatchBruteForceRecount) {
   }
 }
 
-TEST_F(TraceDecisionTest, PlanAndDisjunctCountersMatchRecount) {
-  if (!trace::kCompiledIn) GTEST_SKIP() << "trace hooks compiled out";
-  ViewSet views = V(
-      "v1(X) :- p(X, Y).\n"
-      "v2(X, Y) :- p(X, Y), r(Y).\n");
-  GoalQuery q1 = GQ("a(X) :- p(X, Y).", "a");
-  GoalQuery q2 = GQ("b(X) :- p(X, Z).", "b");
+// What the plan unfold reports, recounted from the FULL unfold tree of a
+// plan program (no pruning): `dead` counts, on every root-to-leaf path, the
+// first node whose head holds a function term or whose final (non-IDB)
+// subgoal holds one or names a non-source predicate; `leaves` counts the
+// leaves reached without passing such a node (with function-free
+// comparisons, exactly the kept disjuncts).
+struct PlanTreeRecount {
+  uint64_t dead = 0;
+  uint64_t leaves = 0;
+};
 
-  TraceContext ctx;
-  Result<RelativeContainmentResult> traced = [&]() {
-    TraceScope scope(&ctx);
-    return RelativelyContained(q1, q2, views, &interner_);
-  }();
-  ASSERT_TRUE(traced.ok()) << traced.status().ToString();
-
-  // Independent recount, outside any trace: rebuild both plans with the
-  // same public API and count what the counters claim to count.
-  Result<Program> p1 = MaximallyContainedPlan(q1.program, views, &interner_);
-  Result<Program> p2 = MaximallyContainedPlan(q2.program, views, &interner_);
-  ASSERT_TRUE(p1.ok() && p2.ok());
-  Result<UnionQuery> u1 = UnfoldToUnion(*p1, q1.goal, &interner_);
-  Result<UnionQuery> u2 = UnfoldToUnion(*p2, q2.goal, &interner_);
-  ASSERT_TRUE(u1.ok() && u2.ok());
-  Result<UnionQuery> plan1 = PlanToUnion(*p1, q1.goal, views, &interner_);
-  Result<UnionQuery> plan2 = PlanToUnion(*p2, q2.goal, views, &interner_);
-  ASSERT_TRUE(plan1.ok() && plan2.ok());
-
-  // Each view body atom contributes one inverse rule, built once per plan.
-  uint64_t inverse_rules = 0;
-  for (const ViewDefinition& v : views.views()) {
-    inverse_rules += v.rule.body.size();
-  }
-  EXPECT_EQ(ctx.TotalCount(Counter::kPlanRules), 2 * inverse_rules);
-  EXPECT_EQ(ctx.TotalCount(Counter::kUnfoldDisjuncts),
-            u1->disjuncts.size() + u2->disjuncts.size());
-  EXPECT_EQ(ctx.TotalCount(Counter::kPlanDisjunctsKept),
-            plan1->disjuncts.size() + plan2->disjuncts.size());
-  EXPECT_EQ(ctx.TotalCount(Counter::kPlanDisjunctsDropped),
-            (u1->disjuncts.size() + u2->disjuncts.size()) -
-                (plan1->disjuncts.size() + plan2->disjuncts.size()));
-
-  // Disjunct checks: RelativelyContained asks, for every disjunct of
-  // plan1, whether it maps into SOME disjunct of plan2, trying plan2's
-  // disjuncts in order until one admits a mapping. Recount that loop with
-  // FindContainmentMapping, the single-pair primitive.
-  uint64_t checks = 0;
-  uint64_t hom_calls = 0;
-  for (const Rule& d : plan1->disjuncts) {
-    for (const Rule& target : plan2->disjuncts) {
-      if (d.head.arity() != target.head.arity()) continue;
-      ++checks;
-      ++hom_calls;
-      if (FindContainmentMapping(target, d).has_value()) break;
+void RecountPlanTree(const Program& plan, const std::set<SymbolId>& sources,
+                     const Rule& node, bool below_dead, Interner* interner,
+                     PlanTreeRecount* out) {
+  std::set<SymbolId> idb = plan.IdbPredicates();
+  auto has_function = [](const Atom& a) {
+    return std::any_of(a.args.begin(), a.args.end(),
+                       [](const Term& t) { return t.is_function(); });
+  };
+  bool dead = has_function(node.head);
+  const Atom* subgoal = nullptr;
+  for (const Atom& a : node.body) {
+    if (idb.count(a.predicate) > 0) {
+      if (subgoal == nullptr) subgoal = &a;
+    } else if (sources.count(a.predicate) == 0 || has_function(a)) {
+      dead = true;
     }
   }
-  EXPECT_EQ(ctx.TotalCount(Counter::kDisjunctChecks), checks);
-  EXPECT_EQ(ctx.TotalCount(Counter::kHomMappingCalls), hom_calls);
+  if (dead && !below_dead) ++out->dead;
+  if (subgoal == nullptr) {
+    if (!below_dead && !dead) ++out->leaves;
+    return;
+  }
+  size_t index = static_cast<size_t>(subgoal - node.body.data());
+  for (const Rule* def : plan.RulesFor(subgoal->predicate)) {
+    Rule fresh = RenameApart(*def, interner);
+    Substitution mgu;
+    if (!UnifyAtoms(*subgoal, fresh.head, &mgu)) continue;
+    Rule next;
+    next.head = mgu.Apply(node.head);
+    for (size_t i = 0; i < node.body.size(); ++i) {
+      if (i != index) {
+        next.body.push_back(mgu.Apply(node.body[i]));
+        continue;
+      }
+      for (const Atom& a : fresh.body) next.body.push_back(mgu.Apply(a));
+    }
+    RecountPlanTree(plan, sources, next, below_dead || dead, interner, out);
+  }
+}
+
+TEST_F(TraceDecisionTest, PlanAndDisjunctCountersMatchRecount) {
+  if (!trace::kCompiledIn) GTEST_SKIP() << "trace hooks compiled out";
+  struct Case {
+    const char* views;
+    const char* q1;
+    const char* q2;
+    uint64_t kept;    // by hand, as a check on the recount itself
+    uint64_t pruned;
+  };
+  const Case cases[] = {
+      // Nothing to prune: the Skolem term of v1 never reaches the head.
+      {"v1(X) :- p(X, Y).\n"
+       "v2(X, Y) :- p(X, Y), r(Y).\n",
+       "a(X) :- p(X, Y).", "b(X) :- p(X, Z).", 4, 0},
+      // Pruning fires. q1 (8 leaves unpruned): v1 at the first p puts
+      // f_v1_Y(X) in the head (cut); after v2 there, v1 at r puts it into
+      // v2's atom (cut); after v3 both options of the last p are kept.
+      // q2 (4 leaves): v1 in the first rule is a head Skolem (cut); the
+      // second rule's s is covered by no source, so its root is cut.
+      {"v1(X) :- p(X, Y), r(Y).\n"
+       "v2(X, Y) :- p(X, Y).\n"
+       "v3(Y) :- r(Y).\n",
+       "a(X, Y) :- p(X, Y), r(Y), p(Y, Z).",
+       "b(X, Y) :- p(X, Y).\nb(X, Y) :- p(X, Y), s(Y).", 3, 4},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.q1);
+    ViewSet views = V(c.views);
+    GoalQuery q1 = GQ(c.q1, "a");
+    GoalQuery q2 = GQ(c.q2, "b");
+
+    TraceContext ctx;
+    Result<RelativeContainmentResult> traced = [&]() {
+      TraceScope scope(&ctx);
+      return RelativelyContained(q1, q2, views, &interner_);
+    }();
+    ASSERT_TRUE(traced.ok()) << traced.status().ToString();
+
+    // Independent recount, outside any trace: build both plan programs
+    // with the public API and walk their full unfold trees.
+    Result<Program> p1 = MaximallyContainedPlan(q1.program, views, &interner_);
+    Result<Program> p2 = MaximallyContainedPlan(q2.program, views, &interner_);
+    ASSERT_TRUE(p1.ok() && p2.ok());
+    PlanTreeRecount recount;
+    for (auto [plan, q] : {std::pair{&*p1, &q1}, std::pair{&*p2, &q2}}) {
+      for (const Rule* root : plan->RulesFor(q->goal)) {
+        RecountPlanTree(*plan, views.SourcePredicates(),
+                        RenameApart(*root, &interner_), false, &interner_,
+                        &recount);
+      }
+    }
+    Result<UnionQuery> u1 = UnfoldToUnion(*p1, q1.goal, &interner_);
+    Result<UnionQuery> u2 = UnfoldToUnion(*p2, q2.goal, &interner_);
+    ASSERT_TRUE(u1.ok() && u2.ok());
+    uint64_t full = u1->disjuncts.size() + u2->disjuncts.size();
+
+    // Each view body atom contributes one inverse rule, built once per
+    // call (the index both plans share).
+    uint64_t inverse_rules = 0;
+    for (const ViewDefinition& v : views.views()) {
+      inverse_rules += v.rule.body.size();
+    }
+    EXPECT_EQ(ctx.TotalCount(Counter::kPlanRules), inverse_rules);
+    EXPECT_EQ(ctx.TotalCount(Counter::kPlanDisjunctsKept),
+              traced->plan1.disjuncts.size() + traced->plan2.disjuncts.size());
+    EXPECT_EQ(ctx.TotalCount(Counter::kPlanDisjunctsKept), recount.leaves);
+    EXPECT_EQ(recount.leaves, c.kept);
+    EXPECT_EQ(recount.dead, c.pruned);
+    EXPECT_EQ(ctx.TotalCount(Counter::kUnfoldDisjuncts), recount.leaves);
+    EXPECT_EQ(ctx.TotalCount(Counter::kPlanDisjunctsDropped), recount.dead);
+    if (recount.dead > 0) {
+      // Pruned branches are never unfolded to their leaves.
+      EXPECT_LT(ctx.TotalCount(Counter::kUnfoldDisjuncts), full);
+    } else {
+      EXPECT_EQ(ctx.TotalCount(Counter::kUnfoldDisjuncts), full);
+    }
+
+    // Disjunct checks: RelativelyContained asks, for every disjunct of
+    // plan1, whether it maps into SOME disjunct of plan2, trying plan2's
+    // disjuncts in order until one admits a mapping. Recount that loop with
+    // FindContainmentMapping, the single-pair primitive.
+    uint64_t checks = 0;
+    uint64_t hom_calls = 0;
+    for (const Rule& d : traced->plan1.disjuncts) {
+      for (const Rule& target : traced->plan2.disjuncts) {
+        if (d.head.arity() != target.head.arity()) continue;
+        ++checks;
+        ++hom_calls;
+        if (FindContainmentMapping(target, d).has_value()) break;
+      }
+    }
+    EXPECT_EQ(ctx.TotalCount(Counter::kDisjunctChecks), checks);
+    EXPECT_EQ(ctx.TotalCount(Counter::kHomMappingCalls), hom_calls);
+  }
 }
 
 TEST_F(TraceDecisionTest, FrozenCountersMatchRecount) {
