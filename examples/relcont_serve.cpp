@@ -31,7 +31,7 @@
 //   --access-log FILE  append one JSONL event per decision to FILE
 //   --log-sample R     log every R-th decision only (default 1 = all)
 //   --default-timeout-ms N  deadline for requests without timeout_ms=
-//                      (default 0 = unbounded); expired requests answer
+//                      (default 30000); expired requests answer
 //                      ERR BoundReached, not a verdict
 //   --workers N        parallel scan width for requests without workers=
 //                      (default 1 = serial)

@@ -2,6 +2,10 @@
 
 #include <cstdarg>
 #include <cstdio>
+#include <cstring>
+#include <functional>
+#include <sstream>
+#include <utility>
 
 #include "common/json.h"
 
@@ -56,469 +60,410 @@ unsigned long long ULL(uint64_t v) {
   return static_cast<unsigned long long>(v);
 }
 
-}  // namespace
-
-std::string RenderMetricsText(const MetricsSnapshot& s) {
-  std::string out;
-  AppendLine(&out, "library_version %s\n", s.version.c_str());
-  AppendLine(&out, "start_time_unix_seconds %lld\n",
-             static_cast<long long>(s.start_time_unix_seconds));
-  AppendLine(&out, "uptime_seconds %.3f\n", s.uptime_seconds);
-  AppendLine(&out, "requests_total %llu\nerrors_total %llu\n",
-             ULL(s.requests), ULL(s.errors));
-  AppendLine(&out, "request_cache_hits %llu\n", ULL(s.request_cache_hits));
-  AppendLine(&out, "deadline_exceeded %llu\n", ULL(s.deadline_exceeded));
-  AppendLine(&out,
-             "parallel_tasks_spawned %llu\nparallel_tasks_completed %llu\n",
-             ULL(s.parallel_tasks_spawned), ULL(s.parallel_tasks_completed));
-  AppendLine(&out,
-             "inflight_requests %lld\nopen_connections %lld\n"
-             "batch_queue_depth %lld\n",
-             static_cast<long long>(s.inflight_requests),
-             static_cast<long long>(s.open_connections),
-             static_cast<long long>(s.batch_queue_depth));
-  AppendLine(&out, "draining %d\n", s.draining ? 1 : 0);
-  AppendLine(&out,
-             "http_rejected_431_total %llu\nhttp_rejected_408_total %llu\n",
-             ULL(s.http_rejected_431), ULL(s.http_rejected_408));
-  for (const RegimeDecisions& regime : s.decisions_by_regime) {
-    AppendLine(&out, "decisions_by_regime{%s} %llu\n", regime.regime.c_str(),
-               ULL(regime.count));
-  }
-  AppendLine(&out,
-             "plan_requests_total %llu\nrewrite_requests_total %llu\n"
-             "plan_errors_total %llu\nunknown_verbs_total %llu\n",
-             ULL(s.plan_requests), ULL(s.rewrite_requests),
-             ULL(s.plan_errors), ULL(s.unknown_verbs));
-  AppendLine(&out,
-             "dense_order_propagations_total %llu\n"
-             "dense_order_pruned_branches_total %llu\n"
-             "dense_order_bound_hits_total %llu\n",
-             ULL(s.dense_order_propagations),
-             ULL(s.dense_order_pruned_branches),
-             ULL(s.dense_order_bound_hits));
-  AppendLine(&out,
-             "cegar_iterations_total %llu\n"
-             "cegar_blocking_clauses_total %llu\n"
-             "cegar_proposals_total %llu\n",
-             ULL(s.cegar_iterations), ULL(s.cegar_blocking_clauses),
-             ULL(s.cegar_proposals));
-  for (const BoundSiteCount& site : s.bound_sites) {
-    AppendLine(&out, "bound_hits_total{site=\"%s\"} %llu\n",
-               site.site.c_str(), ULL(site.count));
-  }
-  AppendLine(&out,
-             "flight_retained_total %llu\nflight_dropped_total %llu\n"
-             "flight_arena_bytes %llu\n",
-             ULL(s.flight_retained), ULL(s.flight_dropped),
-             ULL(s.flight_arena_bytes));
-  for (const WindowLatency& w : s.window_latency) {
-    AppendLine(&out,
-               "window_latency_requests{verb=\"%s\",regime=\"%s\","
-               "window=\"%ds\"} %llu\n",
-               w.verb.c_str(), w.regime.c_str(), w.window_secs,
-               ULL(w.count));
-    AppendLine(&out,
-               "window_latency_us{verb=\"%s\",regime=\"%s\",window=\"%ds\","
-               "q=\"p50\"} %llu\n",
-               w.verb.c_str(), w.regime.c_str(), w.window_secs,
-               ULL(w.p50_micros));
-    AppendLine(&out,
-               "window_latency_us{verb=\"%s\",regime=\"%s\",window=\"%ds\","
-               "q=\"p90\"} %llu\n",
-               w.verb.c_str(), w.regime.c_str(), w.window_secs,
-               ULL(w.p90_micros));
-    AppendLine(&out,
-               "window_latency_us{verb=\"%s\",regime=\"%s\",window=\"%ds\","
-               "q=\"p99\"} %llu\n",
-               w.verb.c_str(), w.regime.c_str(), w.window_secs,
-               ULL(w.p99_micros));
-    AppendLine(&out,
-               "window_latency_us{verb=\"%s\",regime=\"%s\",window=\"%ds\","
-               "q=\"max\"} %llu\n",
-               w.verb.c_str(), w.regime.c_str(), w.window_secs,
-               ULL(w.max_micros));
-  }
-  AppendLine(&out,
-             "cache_hits %llu\ncache_misses %llu\ncache_evictions "
-             "%llu\ncache_entries %llu\n",
-             ULL(s.cache.hits), ULL(s.cache.misses), ULL(s.cache.evictions),
-             ULL(s.cache.entries));
-  AppendLine(&out,
-             "plan_cache_hits %llu\nplan_cache_misses %llu\n"
-             "plan_cache_evictions %llu\nplan_cache_invalidated %llu\n"
-             "plan_cache_entries %llu\n",
-             ULL(s.plan_cache.hits), ULL(s.plan_cache.misses),
-             ULL(s.plan_cache.evictions), ULL(s.plan_cache.invalidated),
-             ULL(s.plan_cache.entries));
-  for (const HistogramBucket& bucket : s.latency_buckets) {
-    if (bucket.unbounded) {
-      AppendLine(&out, "latency_us_bucket{le=\"+Inf\"} %llu\n",
-                 ULL(bucket.cumulative_count));
-    } else {
-      AppendLine(&out, "latency_us_bucket{le=\"%llu\"} %llu\n",
-                 ULL(bucket.le), ULL(bucket.cumulative_count));
-    }
-  }
-  AppendLine(&out, "latency_us_sum %llu\nlatency_us_count %llu\n",
-             ULL(s.latency_sum_micros), ULL(s.latency_count));
-  for (const TraceCounterTotal& t : s.trace_counter_totals) {
-    AppendLine(&out,
-               "trace_counter_total{regime=\"%s\",counter=\"%s\"} %llu\n",
-               t.regime.c_str(), t.counter.c_str(), ULL(t.total));
-  }
-  for (const PhaseSnapshot& phase : s.phases) {
-    AppendLine(&out,
-               "trace_phase_ns{phase=\"%s\"} %llu\n"
-               "trace_phase_calls{phase=\"%s\"} %llu\n",
-               phase.name.c_str(), ULL(phase.ns), phase.name.c_str(),
-               ULL(phase.calls));
-  }
-  for (size_t i = 0; i < s.slow_log.size(); ++i) {
-    const SlowEntry& slow = s.slow_log[i];
-    AppendLine(&out,
-               "slow_request{rank=%llu,latency_us=%llu,regime=\"%s\","
-               "id=%llu} ",
-               ULL(i), ULL(slow.latency_micros), slow.regime.c_str(),
-               ULL(slow.request_id));
-    out += slow.description;
-    out += '\n';
-    // The span tree, indented so a scraper can skip continuation lines.
-    size_t begin = 0;
-    while (begin < slow.trace_text.size()) {
-      size_t end = slow.trace_text.find('\n', begin);
-      if (end == std::string::npos) end = slow.trace_text.size();
-      out += "    ";
-      out.append(slow.trace_text, begin, end - begin);
-      out += '\n';
-      begin = end + 1;
-    }
-  }
-  return out;
-}
-
-std::string RenderPrometheusText(const MetricsSnapshot& s) {
-  std::string out;
-  AppendLine(&out,
-             "# HELP relcont_build_info Build identity of the containment "
-             "service (value is always 1).\n"
-             "# TYPE relcont_build_info gauge\n"
-             "relcont_build_info{version=\"%s\",trace=\"%s\"} 1\n",
-             LabelEscaped(s.version).c_str(),
-             s.trace_compiled_in ? "on" : "off");
-  AppendLine(&out,
-             "# HELP relcont_start_time_seconds Unix time the service "
-             "started.\n"
-             "# TYPE relcont_start_time_seconds gauge\n"
-             "relcont_start_time_seconds %lld\n",
-             static_cast<long long>(s.start_time_unix_seconds));
-  AppendLine(&out,
-             "# HELP relcont_uptime_seconds Seconds since service start.\n"
-             "# TYPE relcont_uptime_seconds gauge\n"
-             "relcont_uptime_seconds %.3f\n",
-             s.uptime_seconds);
-  AppendLine(&out,
-             "# HELP relcont_requests_total Containment requests answered "
-             "(including errors).\n"
-             "# TYPE relcont_requests_total counter\n"
-             "relcont_requests_total %llu\n",
-             ULL(s.requests));
-  AppendLine(&out,
-             "# HELP relcont_errors_total Requests answered with a non-OK "
-             "status.\n"
-             "# TYPE relcont_errors_total counter\n"
-             "relcont_errors_total %llu\n",
-             ULL(s.errors));
-  AppendLine(&out,
-             "# HELP relcont_request_cache_hits_total Requests served from "
-             "the decision cache.\n"
-             "# TYPE relcont_request_cache_hits_total counter\n"
-             "relcont_request_cache_hits_total %llu\n",
-             ULL(s.request_cache_hits));
-  AppendLine(&out,
-             "# HELP relcont_deadline_exceeded_total Requests whose "
-             "deadline expired before the decision completed.\n"
-             "# TYPE relcont_deadline_exceeded_total counter\n"
-             "relcont_deadline_exceeded_total %llu\n",
-             ULL(s.deadline_exceeded));
-  AppendLine(&out,
-             "# HELP relcont_parallel_tasks_spawned_total Parallel helper "
-             "tasks spawned by decisions.\n"
-             "# TYPE relcont_parallel_tasks_spawned_total counter\n"
-             "relcont_parallel_tasks_spawned_total %llu\n",
-             ULL(s.parallel_tasks_spawned));
-  AppendLine(&out,
-             "# HELP relcont_parallel_tasks_completed_total Parallel helper "
-             "tasks joined by decisions (equals spawned when idle).\n"
-             "# TYPE relcont_parallel_tasks_completed_total counter\n"
-             "relcont_parallel_tasks_completed_total %llu\n",
-             ULL(s.parallel_tasks_completed));
-  AppendLine(&out,
-             "# HELP relcont_inflight_requests Requests currently being "
-             "decided.\n"
-             "# TYPE relcont_inflight_requests gauge\n"
-             "relcont_inflight_requests %lld\n"
-             "# HELP relcont_open_connections TCP connections currently "
-             "open on the obs server.\n"
-             "# TYPE relcont_open_connections gauge\n"
-             "relcont_open_connections %lld\n"
-             "# HELP relcont_batch_queue_depth Batch items queued but not "
-             "yet claimed by a worker.\n"
-             "# TYPE relcont_batch_queue_depth gauge\n"
-             "relcont_batch_queue_depth %lld\n",
-             static_cast<long long>(s.inflight_requests),
-             static_cast<long long>(s.open_connections),
-             static_cast<long long>(s.batch_queue_depth));
-  AppendLine(&out,
-             "# HELP relcont_draining 1 between SIGTERM drain start and "
-             "listener close, else 0.\n"
-             "# TYPE relcont_draining gauge\n"
-             "relcont_draining %d\n",
-             s.draining ? 1 : 0);
-  AppendLine(&out,
-             "# HELP relcont_http_rejected_total HTTP requests rejected by "
-             "the parser hardening, by status code.\n"
-             "# TYPE relcont_http_rejected_total counter\n"
-             "relcont_http_rejected_total{code=\"431\"} %llu\n"
-             "relcont_http_rejected_total{code=\"408\"} %llu\n",
-             ULL(s.http_rejected_431), ULL(s.http_rejected_408));
-  out +=
-      "# HELP relcont_decisions_total Decisions per paper regime.\n"
-      "# TYPE relcont_decisions_total counter\n";
-  for (const RegimeDecisions& regime : s.decisions_by_regime) {
-    AppendLine(&out, "relcont_decisions_total{regime=\"%s\"} %llu\n",
-               LabelEscaped(regime.regime).c_str(), ULL(regime.count));
-  }
-  AppendLine(&out,
-             "# HELP relcont_cache_hits_total Decision-cache lookup hits.\n"
-             "# TYPE relcont_cache_hits_total counter\n"
-             "relcont_cache_hits_total %llu\n"
-             "# HELP relcont_cache_misses_total Decision-cache lookup "
-             "misses.\n"
-             "# TYPE relcont_cache_misses_total counter\n"
-             "relcont_cache_misses_total %llu\n"
-             "# HELP relcont_cache_evictions_total LRU evictions from the "
-             "decision cache.\n"
-             "# TYPE relcont_cache_evictions_total counter\n"
-             "relcont_cache_evictions_total %llu\n"
-             "# HELP relcont_cache_entries Entries currently resident in "
-             "the decision cache.\n"
-             "# TYPE relcont_cache_entries gauge\n"
-             "relcont_cache_entries %llu\n",
-             ULL(s.cache.hits), ULL(s.cache.misses), ULL(s.cache.evictions),
-             ULL(s.cache.entries));
-  AppendLine(&out,
-             "# HELP relcont_plan_requests_total PLAN? requests answered "
-             "(including errors).\n"
-             "# TYPE relcont_plan_requests_total counter\n"
-             "relcont_plan_requests_total %llu\n"
-             "# HELP relcont_rewrite_requests_total REWRITE? requests "
-             "answered (including errors).\n"
-             "# TYPE relcont_rewrite_requests_total counter\n"
-             "relcont_rewrite_requests_total %llu\n"
-             "# HELP relcont_plan_errors_total Planner requests answered "
-             "with a non-OK status.\n"
-             "# TYPE relcont_plan_errors_total counter\n"
-             "relcont_plan_errors_total %llu\n"
-             "# HELP relcont_unknown_verb_total Protocol lines rejected "
-             "because no handler claims their verb.\n"
-             "# TYPE relcont_unknown_verb_total counter\n"
-             "relcont_unknown_verb_total %llu\n",
-             ULL(s.plan_requests), ULL(s.rewrite_requests),
-             ULL(s.plan_errors), ULL(s.unknown_verbs));
-  AppendLine(&out,
-             "# HELP relcont_plan_cache_hits_total Plan-cache lookup hits.\n"
-             "# TYPE relcont_plan_cache_hits_total counter\n"
-             "relcont_plan_cache_hits_total %llu\n"
-             "# HELP relcont_plan_cache_misses_total Plan-cache lookup "
-             "misses.\n"
-             "# TYPE relcont_plan_cache_misses_total counter\n"
-             "relcont_plan_cache_misses_total %llu\n"
-             "# HELP relcont_plan_cache_evictions_total LRU evictions from "
-             "the plan cache.\n"
-             "# TYPE relcont_plan_cache_evictions_total counter\n"
-             "relcont_plan_cache_evictions_total %llu\n"
-             "# HELP relcont_plan_cache_invalidated_total Plan-cache "
-             "entries dropped by catalog re-registration.\n"
-             "# TYPE relcont_plan_cache_invalidated_total counter\n"
-             "relcont_plan_cache_invalidated_total %llu\n"
-             "# HELP relcont_plan_cache_entries Entries currently resident "
-             "in the plan cache.\n"
-             "# TYPE relcont_plan_cache_entries gauge\n"
-             "relcont_plan_cache_entries %llu\n",
-             ULL(s.plan_cache.hits), ULL(s.plan_cache.misses),
-             ULL(s.plan_cache.evictions), ULL(s.plan_cache.invalidated),
-             ULL(s.plan_cache.entries));
-  AppendLine(&out,
-             "# HELP relcont_dense_order_propagations_total Pair-matrix "
-             "cell narrowings performed by the dense-order engine.\n"
-             "# TYPE relcont_dense_order_propagations_total counter\n"
-             "relcont_dense_order_propagations_total %llu\n"
-             "# HELP relcont_dense_order_pruned_branches_total Linearization "
-             "DFS class placements rejected by the closed pair matrix.\n"
-             "# TYPE relcont_dense_order_pruned_branches_total counter\n"
-             "relcont_dense_order_pruned_branches_total %llu\n"
-             "# HELP relcont_dense_order_bound_hits_total Linearization "
-             "streams cut short by a budget or the structural node cap.\n"
-             "# TYPE relcont_dense_order_bound_hits_total counter\n"
-             "relcont_dense_order_bound_hits_total %llu\n",
-             ULL(s.dense_order_propagations),
-             ULL(s.dense_order_pruned_branches),
-             ULL(s.dense_order_bound_hits));
-  AppendLine(&out,
-             "# HELP relcont_cegar_iterations_total Cover checks performed "
-             "by the CEGAR counterexample search (loop iterations).\n"
-             "# TYPE relcont_cegar_iterations_total counter\n"
-             "relcont_cegar_iterations_total %llu\n"
-             "# HELP relcont_cegar_blocking_clauses_total Blocking clauses "
-             "learned from successful covers.\n"
-             "# TYPE relcont_cegar_blocking_clauses_total counter\n"
-             "relcont_cegar_blocking_clauses_total %llu\n"
-             "# HELP relcont_cegar_proposals_total Candidate source "
-             "instances proposed by the CEGAR search (DFS leaves).\n"
-             "# TYPE relcont_cegar_proposals_total counter\n"
-             "relcont_cegar_proposals_total %llu\n",
-             ULL(s.cegar_iterations), ULL(s.cegar_blocking_clauses),
-             ULL(s.cegar_proposals));
-  if (!s.bound_sites.empty()) {
-    out +=
-        "# HELP relcont_bound_hits_total Bound trips per budget site "
-        "(the [site] tag of kBoundReached statuses).\n"
-        "# TYPE relcont_bound_hits_total counter\n";
-    for (const BoundSiteCount& site : s.bound_sites) {
-      AppendLine(&out, "relcont_bound_hits_total{site=\"%s\"} %llu\n",
-                 LabelEscaped(site.site).c_str(), ULL(site.count));
-    }
-  }
-  AppendLine(&out,
-             "# HELP relcont_flight_retained_total Requests retained in the "
-             "flight-recorder arena (tail-sampled or head-sampled).\n"
-             "# TYPE relcont_flight_retained_total counter\n"
-             "relcont_flight_retained_total %llu\n"
-             "# HELP relcont_flight_dropped_total Flight-recorder drops: "
-             "arena evictions plus oversized entries.\n"
-             "# TYPE relcont_flight_dropped_total counter\n"
-             "relcont_flight_dropped_total %llu\n"
-             "# HELP relcont_flight_arena_bytes Bytes currently resident in "
-             "the flight-recorder retention arena.\n"
-             "# TYPE relcont_flight_arena_bytes gauge\n"
-             "relcont_flight_arena_bytes %llu\n",
-             ULL(s.flight_retained), ULL(s.flight_dropped),
-             ULL(s.flight_arena_bytes));
-  if (!s.window_latency.empty()) {
-    out +=
-        "# HELP relcont_window_latency_requests Requests recorded in the "
-        "trailing window per verb and regime.\n"
-        "# TYPE relcont_window_latency_requests gauge\n";
-    for (const WindowLatency& w : s.window_latency) {
-      AppendLine(&out,
-                 "relcont_window_latency_requests{verb=\"%s\",regime=\"%s\","
-                 "window=\"%ds\"} %llu\n",
-                 LabelEscaped(w.verb).c_str(), LabelEscaped(w.regime).c_str(),
-                 w.window_secs, ULL(w.count));
-    }
-    out +=
-        "# HELP relcont_window_latency_microseconds Windowed latency "
-        "quantiles per verb and regime (upper-bound bucket estimates; max "
-        "is exact).\n"
-        "# TYPE relcont_window_latency_microseconds gauge\n";
-    for (const WindowLatency& w : s.window_latency) {
-      const struct {
-        const char* q;
-        uint64_t value;
-      } rows[] = {{"p50", w.p50_micros},
-                  {"p90", w.p90_micros},
-                  {"p99", w.p99_micros},
-                  {"max", w.max_micros}};
-      for (const auto& row : rows) {
-        AppendLine(&out,
-                   "relcont_window_latency_microseconds{verb=\"%s\","
-                   "regime=\"%s\",window=\"%ds\",quantile=\"%s\"} %llu\n",
-                   LabelEscaped(w.verb).c_str(),
-                   LabelEscaped(w.regime).c_str(), w.window_secs, row.q,
-                   ULL(row.value));
-      }
-    }
-  }
-  out +=
-      "# HELP relcont_request_latency_microseconds Request latency "
-      "(cumulative power-of-two buckets).\n"
-      "# TYPE relcont_request_latency_microseconds histogram\n";
-  for (const HistogramBucket& bucket : s.latency_buckets) {
-    if (bucket.unbounded) {
-      AppendLine(&out,
-                 "relcont_request_latency_microseconds_bucket{le=\"+Inf\"} "
-                 "%llu\n",
-                 ULL(bucket.cumulative_count));
-    } else {
-      AppendLine(&out,
-                 "relcont_request_latency_microseconds_bucket{le=\"%llu\"} "
-                 "%llu\n",
-                 ULL(bucket.le), ULL(bucket.cumulative_count));
-    }
-  }
-  AppendLine(&out,
-             "relcont_request_latency_microseconds_sum %llu\n"
-             "relcont_request_latency_microseconds_count %llu\n",
-             ULL(s.latency_sum_micros), ULL(s.latency_count));
-  if (!s.trace_counter_totals.empty()) {
-    out +=
-        "# HELP relcont_trace_counter_total Trace counter totals per "
-        "regime (see docs/OBSERVABILITY.md for the glossary).\n"
-        "# TYPE relcont_trace_counter_total counter\n";
-    for (const TraceCounterTotal& t : s.trace_counter_totals) {
-      AppendLine(&out,
-                 "relcont_trace_counter_total{regime=\"%s\",counter=\"%s\"} "
-                 "%llu\n",
-                 LabelEscaped(t.regime).c_str(),
-                 LabelEscaped(t.counter).c_str(), ULL(t.total));
-    }
-  }
-  if (!s.phases.empty()) {
-    out +=
-        "# HELP relcont_trace_phase_nanoseconds_total Cumulative time per "
-        "pipeline phase across recorded traces.\n"
-        "# TYPE relcont_trace_phase_nanoseconds_total counter\n";
-    for (const PhaseSnapshot& phase : s.phases) {
-      AppendLine(&out,
-                 "relcont_trace_phase_nanoseconds_total{phase=\"%s\"} %llu\n",
-                 LabelEscaped(phase.name).c_str(), ULL(phase.ns));
-    }
-    out +=
-        "# HELP relcont_trace_phase_calls_total Recorded spans per "
-        "pipeline phase.\n"
-        "# TYPE relcont_trace_phase_calls_total counter\n";
-    for (const PhaseSnapshot& phase : s.phases) {
-      AppendLine(&out,
-                 "relcont_trace_phase_calls_total{phase=\"%s\"} %llu\n",
-                 LabelEscaped(phase.name).c_str(), ULL(phase.calls));
-    }
-  }
-  return out;
-}
-
-namespace {
-
 double HitRate(uint64_t hits, uint64_t misses) {
   const uint64_t lookups = hits + misses;
   if (lookups == 0) return 0.0;
   return static_cast<double>(hits) / static_cast<double>(lookups);
 }
 
+using Snap = MetricsSnapshot;
+
+/// The sample lister of a family with one sample per element of the
+/// snapshot vector `items`, made by `make`.
+template <typename T, typename Make>
+std::function<std::vector<SeriesSample>(const Snap&)> Each(
+    std::vector<T> Snap::*items, Make make) {
+  return [items, make](const Snap& s) {
+    std::vector<SeriesSample> out;
+    for (const T& item : s.*items) out.push_back(make(item));
+    return out;
+  };
+}
+
+std::vector<std::string> WindowLabels(const WindowLatency& w) {
+  return {w.verb, w.regime, std::to_string(w.window_secs) + "s"};
+}
+
+std::vector<SeriesSample> WindowQuantileSamples(const Snap& s) {
+  std::vector<SeriesSample> out;
+  for (const WindowLatency& w : s.window_latency) {
+    const std::pair<const char*, uint64_t> quantiles[] = {
+        {"p50", w.p50_micros},
+        {"p90", w.p90_micros},
+        {"p99", w.p99_micros},
+        {"max", w.max_micros}};
+    for (const auto& [q, value] : quantiles) {
+      std::vector<std::string> labels = WindowLabels(w);
+      labels.push_back(q);
+      out.push_back({"", std::move(labels), value});
+    }
+  }
+  return out;
+}
+
+std::vector<SeriesSample> LatencyHistogramSamples(const Snap& s) {
+  std::vector<SeriesSample> out;
+  for (const HistogramBucket& bucket : s.latency_buckets) {
+    out.push_back({"_bucket",
+                   {bucket.unbounded ? "+Inf" : std::to_string(bucket.le)},
+                   bucket.cumulative_count});
+  }
+  out.push_back({"_sum", {}, s.latency_sum_micros});
+  out.push_back({"_count", {}, s.latency_count});
+  return out;
+}
+
+/// One sample per slow-log entry; the value is the description followed
+/// by the span tree, each tree line indented so a scraper can skip
+/// continuation lines.
+std::vector<SeriesSample> SlowRequestSamples(const Snap& s) {
+  std::vector<SeriesSample> out;
+  for (size_t i = 0; i < s.slow_log.size(); ++i) {
+    const SlowEntry& slow = s.slow_log[i];
+    std::string value = slow.description;
+    std::istringstream tree(slow.trace_text);
+    for (std::string line; std::getline(tree, line);) value += "\n    " + line;
+    out.push_back({"",
+                   {std::to_string(i), std::to_string(slow.latency_micros),
+                    slow.regime, std::to_string(slow.request_id)},
+                   std::move(value)});
+  }
+  return out;
+}
+
+SeriesRow Counter(const char* text_name, const char* prom_name,
+                  const char* help, const char* statusz_group,
+                  const char* statusz_key,
+                  std::function<SeriesValue(const Snap&)> value,
+                  const char* prom_labels = nullptr) {
+  return {text_name, prom_name, "counter", help, statusz_group, statusz_key,
+          std::move(value), prom_labels};
+}
+
+SeriesRow Gauge(const char* text_name, const char* prom_name,
+                const char* help, const char* statusz_group,
+                const char* statusz_key,
+                std::function<SeriesValue(const Snap&)> value) {
+  return {text_name, prom_name, "gauge", help, statusz_group, statusz_key,
+          std::move(value)};
+}
+
+SeriesRow Family(
+    const char* type, const char* text_name, const char* prom_name,
+    const char* help, std::vector<SeriesLabel> labels,
+    std::function<std::vector<SeriesSample>(const Snap&)> samples) {
+  SeriesRow row{text_name, prom_name, type, help};
+  row.labels = std::move(labels);
+  row.samples = std::move(samples);
+  return row;
+}
+
+/// /statusz groups, in rendering order, after the top-level keys and the
+/// windows object.
+constexpr const char* kStatuszGroups[] = {
+    "gauges", "requests", "cache", "plan_cache", "http", "flight", "cegar"};
+
+void AppendValue(const SeriesValue& value, bool json_spelling,
+                 std::string* out) {
+  if (const uint64_t* u = std::get_if<uint64_t>(&value)) {
+    *out += std::to_string(*u);
+  } else if (const int64_t* i = std::get_if<int64_t>(&value)) {
+    *out += std::to_string(*i);
+  } else if (const bool* b = std::get_if<bool>(&value)) {
+    *out += json_spelling ? (*b ? "true" : "false") : (*b ? "1" : "0");
+  } else if (const Fixed* f = std::get_if<Fixed>(&value)) {
+    AppendLine(out, "%.*f", f->decimals, f->value);
+  } else if (json_spelling) {
+    json::AppendEscaped(std::get<std::string>(value), out);
+  } else {
+    *out += std::get<std::string>(value);
+  }
+}
+
+void AppendLabel(const SeriesLabel& label, const std::string& value,
+                 bool prom, std::string* out) {
+  const char* key =
+      prom || label.text_key == nullptr ? label.key : label.text_key;
+  const bool quoted = prom || label.text_quoted;
+  *out += key;
+  if (*key != '\0') *out += '=';
+  if (quoted) *out += '"';
+  *out += prom ? LabelEscaped(value) : value;
+  if (quoted) *out += '"';
+}
+
+std::vector<SeriesSample> Samples(const SeriesRow& row, const Snap& s) {
+  if (row.value == nullptr) return row.samples(s);
+  std::vector<SeriesSample> out(1);
+  out[0].value = row.value(s);
+  return out;
+}
+
+/// METRICS (`prom` false) and /metrics differ only in spelling: the name
+/// a row goes by, how a label is written, and the /metrics HELP/TYPE
+/// headers, one per family that has samples.
+std::string RenderSeriesLines(const Snap& s, bool prom) {
+  std::string out;
+  const char* family = "";
+  for (const SeriesRow& row : SeriesTable()) {
+    const char* name = prom ? row.prom_name : row.text_name;
+    if (name == nullptr) continue;
+    const std::vector<SeriesSample> samples = Samples(row, s);
+    if (prom && !samples.empty() && std::strcmp(family, name) != 0) {
+      family = name;
+      AppendLine(&out, "# HELP %s %s\n# TYPE %s %s\n", name, row.help, name,
+                 row.type);
+    }
+    const char* fixed_labels = prom ? row.prom_labels : nullptr;
+    for (const SeriesSample& sample : samples) {
+      out += name;
+      out += sample.suffix;
+      if (fixed_labels != nullptr || !sample.labels.empty()) {
+        out += '{';
+        if (fixed_labels != nullptr) out += fixed_labels;
+        for (size_t i = 0; i < sample.labels.size(); ++i) {
+          if (out.back() != '{') out += ',';
+          AppendLabel(row.labels[i], sample.labels[i], prom, &out);
+        }
+        out += '}';
+      }
+      out += ' ';
+      AppendValue(sample.value, false, &out);
+      out += '\n';
+    }
+  }
+  return out;
+}
+
+/// Appends `"key":value` for every row of `group` ("": top level),
+/// comma-separated from whatever member precedes it.
+void AppendStatuszMembers(const Snap& s, const char* group, std::string* out) {
+  for (const SeriesRow& row : SeriesTable()) {
+    if (row.statusz_key == nullptr ||
+        std::strcmp(row.statusz_group, group) != 0) {
+      continue;
+    }
+    if (out->back() != '{') *out += ',';
+    *out += '"';
+    *out += row.statusz_key;
+    *out += "\":";
+    AppendValue(row.value(s), true, out);
+  }
+}
+
 }  // namespace
 
+const std::vector<SeriesRow>& SeriesTable() {
+  static const std::vector<SeriesRow> table = {
+      Gauge("library_version", nullptr, nullptr, "", "version",
+            &Snap::version),
+      Family("gauge", nullptr, "relcont_build_info",
+             "Build identity of the containment service (value is always 1).",
+             {{"version"}, {"trace"}},
+             [](auto& s) -> std::vector<SeriesSample> {
+               return {{"", {s.version, s.trace_compiled_in ? "on" : "off"},
+                        uint64_t{1}}};
+             }),
+      Gauge(nullptr, nullptr, nullptr, "", "trace_compiled_in",
+            &Snap::trace_compiled_in),
+      Gauge("start_time_unix_seconds", "relcont_start_time_seconds",
+            "Unix time the service started.", "", "start_time_unix_seconds",
+            &Snap::start_time_unix_seconds),
+      Gauge("uptime_seconds", "relcont_uptime_seconds",
+            "Seconds since service start.", "", "uptime_seconds",
+            [](auto& s) { return Fixed{s.uptime_seconds, 3}; }),
+      Counter("requests_total", "relcont_requests_total",
+              "Containment requests answered (including errors).", "requests",
+              "total", &Snap::requests),
+      Counter("errors_total", "relcont_errors_total",
+              "Requests answered with a non-OK status.", "requests", "errors",
+              &Snap::errors),
+      Counter("request_cache_hits", "relcont_request_cache_hits_total",
+              "Requests served from the decision cache.", "requests",
+              "cache_hits", &Snap::request_cache_hits),
+      Counter("deadline_exceeded", "relcont_deadline_exceeded_total",
+              "Requests whose deadline expired before the decision completed.",
+              "requests", "deadline_exceeded", &Snap::deadline_exceeded),
+      Counter("parallel_tasks_spawned", "relcont_parallel_tasks_spawned_total",
+              "Parallel helper tasks spawned by decisions.", nullptr, nullptr,
+              &Snap::parallel_tasks_spawned),
+      Counter("parallel_tasks_completed",
+              "relcont_parallel_tasks_completed_total",
+              "Parallel helper tasks joined by decisions (equals spawned when "
+              "idle).",
+              nullptr, nullptr, &Snap::parallel_tasks_completed),
+      Gauge("inflight_requests", "relcont_inflight_requests",
+            "Requests currently being decided.", "gauges", "inflight_requests",
+            &Snap::inflight_requests),
+      Gauge("open_connections", "relcont_open_connections",
+            "TCP connections currently open on the obs server.", "gauges",
+            "open_connections", &Snap::open_connections),
+      Gauge("batch_queue_depth", "relcont_batch_queue_depth",
+            "Batch items queued but not yet claimed by a worker.", "gauges",
+            "batch_queue_depth", &Snap::batch_queue_depth),
+      Gauge("draining", "relcont_draining",
+            "1 between SIGTERM drain start and listener close, else 0.", "",
+            "draining", &Snap::draining),
+      // One /metrics family, two METRICS series: the second row shares the
+      // first row's HELP/TYPE.
+      Counter("http_rejected_431_total", "relcont_http_rejected_total",
+              "HTTP requests rejected by the parser hardening, by status "
+              "code.",
+              "http", "rejected_431", &Snap::http_rejected_431, "code=\"431\""),
+      Counter("http_rejected_408_total", "relcont_http_rejected_total",
+              nullptr, "http", "rejected_408", &Snap::http_rejected_408,
+              "code=\"408\""),
+      Family("counter", "decisions_by_regime", "relcont_decisions_total",
+             "Decisions per paper regime.", {{"regime", "", false}},
+             Each(&Snap::decisions_by_regime, [](auto& d) -> SeriesSample {
+               return {"", {d.regime}, d.count};
+             })),
+      Counter("cache_hits", "relcont_cache_hits_total",
+              "Decision-cache lookup hits.", "cache", "hits",
+              [](auto& s) { return s.cache.hits; }),
+      Counter("cache_misses", "relcont_cache_misses_total",
+              "Decision-cache lookup misses.", "cache", "misses",
+              [](auto& s) { return s.cache.misses; }),
+      Counter("cache_evictions", "relcont_cache_evictions_total",
+              "LRU evictions from the decision cache.", "cache", "evictions",
+              [](auto& s) { return s.cache.evictions; }),
+      Gauge("cache_entries", "relcont_cache_entries",
+            "Entries currently resident in the decision cache.", "cache",
+            "entries", [](auto& s) { return s.cache.entries; }),
+      Gauge(nullptr, nullptr, nullptr, "cache", "hit_rate", [](auto& s) {
+        return Fixed{HitRate(s.cache.hits, s.cache.misses), 4};
+      }),
+      Counter("plan_requests_total", "relcont_plan_requests_total",
+              "PLAN? requests answered (including errors).", "requests",
+              "plan_requests", &Snap::plan_requests),
+      Counter("rewrite_requests_total", "relcont_rewrite_requests_total",
+              "REWRITE? requests answered (including errors).", "requests",
+              "rewrite_requests", &Snap::rewrite_requests),
+      Counter("plan_errors_total", "relcont_plan_errors_total",
+              "Planner requests answered with a non-OK status.", "requests",
+              "plan_errors", &Snap::plan_errors),
+      Counter("unknown_verbs_total", "relcont_unknown_verb_total",
+              "Protocol lines rejected because no handler claims their verb.",
+              "requests", "unknown_verbs", &Snap::unknown_verbs),
+      Counter("plan_cache_hits", "relcont_plan_cache_hits_total",
+              "Plan-cache lookup hits.", "plan_cache", "hits",
+              [](auto& s) { return s.plan_cache.hits; }),
+      Counter("plan_cache_misses", "relcont_plan_cache_misses_total",
+              "Plan-cache lookup misses.", "plan_cache", "misses",
+              [](auto& s) { return s.plan_cache.misses; }),
+      Counter("plan_cache_evictions", "relcont_plan_cache_evictions_total",
+              "LRU evictions from the plan cache.", "plan_cache", "evictions",
+              [](auto& s) { return s.plan_cache.evictions; }),
+      Counter("plan_cache_invalidated", "relcont_plan_cache_invalidated_total",
+              "Plan-cache entries dropped by catalog re-registration.",
+              "plan_cache", "invalidated",
+              [](auto& s) { return s.plan_cache.invalidated; }),
+      Gauge("plan_cache_entries", "relcont_plan_cache_entries",
+            "Entries currently resident in the plan cache.", "plan_cache",
+            "entries", [](auto& s) { return s.plan_cache.entries; }),
+      Gauge(nullptr, nullptr, nullptr, "plan_cache", "hit_rate", [](auto& s) {
+        return Fixed{HitRate(s.plan_cache.hits, s.plan_cache.misses), 4};
+      }),
+      Counter("dense_order_propagations_total",
+              "relcont_dense_order_propagations_total",
+              "Pair-matrix cell narrowings performed by the dense-order "
+              "engine.",
+              nullptr, nullptr, &Snap::dense_order_propagations),
+      Counter("dense_order_pruned_branches_total",
+              "relcont_dense_order_pruned_branches_total",
+              "Linearization DFS class placements rejected by the closed pair "
+              "matrix.",
+              nullptr, nullptr, &Snap::dense_order_pruned_branches),
+      Counter("dense_order_bound_hits_total",
+              "relcont_dense_order_bound_hits_total",
+              "Linearization streams cut short by a budget or the structural "
+              "node cap.",
+              nullptr, nullptr, &Snap::dense_order_bound_hits),
+      Counter("cegar_iterations_total", "relcont_cegar_iterations_total",
+              "Cover checks performed by the CEGAR counterexample search "
+              "(loop iterations).",
+              "cegar", "iterations", &Snap::cegar_iterations),
+      Counter("cegar_blocking_clauses_total",
+              "relcont_cegar_blocking_clauses_total",
+              "Blocking clauses learned from successful covers.", "cegar",
+              "blocking_clauses", &Snap::cegar_blocking_clauses),
+      Counter("cegar_proposals_total", "relcont_cegar_proposals_total",
+              "Candidate source instances proposed by the CEGAR search (DFS "
+              "leaves).",
+              "cegar", "proposals", &Snap::cegar_proposals),
+      Family("counter", "bound_hits_total", "relcont_bound_hits_total",
+             "Bound trips per budget site (the [site] tag of kBoundReached "
+             "statuses).",
+             {{"site"}}, Each(&Snap::bound_sites, [](auto& b) -> SeriesSample {
+               return {"", {b.site}, b.count};
+             })),
+      Counter("flight_retained_total", "relcont_flight_retained_total",
+              "Requests retained in the flight-recorder arena (tail-sampled "
+              "or head-sampled).",
+              "flight", "retained_total", &Snap::flight_retained),
+      Counter("flight_dropped_total", "relcont_flight_dropped_total",
+              "Flight-recorder drops: arena evictions plus oversized entries.",
+              "flight", "dropped_total", &Snap::flight_dropped),
+      Gauge("flight_arena_bytes", "relcont_flight_arena_bytes",
+            "Bytes currently resident in the flight-recorder retention arena.",
+            "flight", "arena_bytes", &Snap::flight_arena_bytes),
+      Family("gauge", "window_latency_requests",
+             "relcont_window_latency_requests",
+             "Requests recorded in the trailing window per verb and regime.",
+             {{"verb"}, {"regime"}, {"window"}},
+             Each(&Snap::window_latency, [](auto& w) -> SeriesSample {
+               return {"", WindowLabels(w), w.count};
+             })),
+      Family("gauge", "window_latency_us",
+             "relcont_window_latency_microseconds",
+             "Windowed latency quantiles per verb and regime (upper-bound "
+             "bucket estimates; max is exact).",
+             {{"verb"}, {"regime"}, {"window"}, {"quantile", "q"}},
+             WindowQuantileSamples),
+      Family("histogram", "latency_us", "relcont_request_latency_microseconds",
+             "Request latency (cumulative power-of-two buckets).", {{"le"}},
+             LatencyHistogramSamples),
+      Family("counter", "trace_counter_total", "relcont_trace_counter_total",
+             "Trace counter totals per regime (see docs/OBSERVABILITY.md for "
+             "the glossary).",
+             {{"regime"}, {"counter"}},
+             Each(&Snap::trace_counter_totals, [](auto& t) -> SeriesSample {
+               return {"", {t.regime, t.counter}, t.total};
+             })),
+      Family("counter", "trace_phase_ns",
+             "relcont_trace_phase_nanoseconds_total",
+             "Cumulative time per pipeline phase across recorded traces.",
+             {{"phase"}}, Each(&Snap::phases, [](auto& p) -> SeriesSample {
+               return {"", {p.name}, p.ns};
+             })),
+      Family("counter", "trace_phase_calls", "relcont_trace_phase_calls_total",
+             "Recorded spans per pipeline phase.", {{"phase"}},
+             Each(&Snap::phases, [](auto& p) -> SeriesSample {
+               return {"", {p.name}, p.calls};
+             })),
+      // Free-form request text plus an indented span tree, not a numeric
+      // series: METRICS only; /statusz carries the structured digest.
+      Family("log", "slow_request", nullptr, nullptr,
+             {{"rank", nullptr, false},
+              {"latency_us", nullptr, false},
+              {"regime"},
+              {"id", nullptr, false}},
+             SlowRequestSamples),
+  };
+  return table;
+}
+
+std::string RenderMetricsText(const MetricsSnapshot& s) {
+  return RenderSeriesLines(s, false);
+}
+
+std::string RenderPrometheusText(const MetricsSnapshot& s) {
+  return RenderSeriesLines(s, true);
+}
+
 std::string RenderStatuszJson(const MetricsSnapshot& s) {
-  std::string out;
-  out += "{\"version\":";
-  json::AppendEscaped(s.version, &out);
-  AppendLine(&out,
-             ",\"trace_compiled_in\":%s"
-             ",\"start_time_unix_seconds\":%lld"
-             ",\"uptime_seconds\":%.3f"
-             ",\"draining\":%s",
-             s.trace_compiled_in ? "true" : "false",
-             static_cast<long long>(s.start_time_unix_seconds),
-             s.uptime_seconds, s.draining ? "true" : "false");
+  std::string out = "{";
+  AppendStatuszMembers(s, "", &out);
   AppendLine(&out, ",\"windows\":{\"short_secs\":%d,\"long_secs\":%d",
              s.short_window_secs, s.long_window_secs);
   out += ",\"latency\":[";
@@ -536,47 +481,11 @@ std::string RenderStatuszJson(const MetricsSnapshot& s) {
                ULL(w.p90_micros), ULL(w.p99_micros), ULL(w.max_micros));
   }
   out += "]}";
-  AppendLine(&out,
-             ",\"gauges\":{\"inflight_requests\":%lld,"
-             "\"open_connections\":%lld,\"batch_queue_depth\":%lld}",
-             static_cast<long long>(s.inflight_requests),
-             static_cast<long long>(s.open_connections),
-             static_cast<long long>(s.batch_queue_depth));
-  AppendLine(&out,
-             ",\"requests\":{\"total\":%llu,\"errors\":%llu,"
-             "\"cache_hits\":%llu,\"deadline_exceeded\":%llu,"
-             "\"plan_requests\":%llu,\"rewrite_requests\":%llu,"
-             "\"plan_errors\":%llu,\"unknown_verbs\":%llu}",
-             ULL(s.requests), ULL(s.errors), ULL(s.request_cache_hits),
-             ULL(s.deadline_exceeded), ULL(s.plan_requests),
-             ULL(s.rewrite_requests), ULL(s.plan_errors),
-             ULL(s.unknown_verbs));
-  AppendLine(&out,
-             ",\"cache\":{\"hits\":%llu,\"misses\":%llu,\"evictions\":%llu,"
-             "\"entries\":%llu,\"hit_rate\":%.4f}",
-             ULL(s.cache.hits), ULL(s.cache.misses), ULL(s.cache.evictions),
-             ULL(s.cache.entries), HitRate(s.cache.hits, s.cache.misses));
-  AppendLine(&out,
-             ",\"plan_cache\":{\"hits\":%llu,\"misses\":%llu,"
-             "\"evictions\":%llu,\"invalidated\":%llu,\"entries\":%llu,"
-             "\"hit_rate\":%.4f}",
-             ULL(s.plan_cache.hits), ULL(s.plan_cache.misses),
-             ULL(s.plan_cache.evictions), ULL(s.plan_cache.invalidated),
-             ULL(s.plan_cache.entries),
-             HitRate(s.plan_cache.hits, s.plan_cache.misses));
-  AppendLine(&out,
-             ",\"http\":{\"rejected_431\":%llu,\"rejected_408\":%llu}",
-             ULL(s.http_rejected_431), ULL(s.http_rejected_408));
-  AppendLine(&out,
-             ",\"flight\":{\"retained_total\":%llu,\"dropped_total\":%llu,"
-             "\"arena_bytes\":%llu}",
-             ULL(s.flight_retained), ULL(s.flight_dropped),
-             ULL(s.flight_arena_bytes));
-  AppendLine(&out,
-             ",\"cegar\":{\"iterations\":%llu,\"blocking_clauses\":%llu,"
-             "\"proposals\":%llu}",
-             ULL(s.cegar_iterations), ULL(s.cegar_blocking_clauses),
-             ULL(s.cegar_proposals));
+  for (const char* group : kStatuszGroups) {
+    AppendLine(&out, ",\"%s\":{", group);
+    AppendStatuszMembers(s, group, &out);
+    out += '}';
+  }
   out += ",\"bound_sites\":[";
   for (size_t i = 0; i < s.bound_sites.size(); ++i) {
     if (i > 0) out += ',';

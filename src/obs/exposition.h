@@ -2,7 +2,9 @@
 #define RELCONT_OBS_EXPOSITION_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "obs/flight.h"
@@ -13,10 +15,11 @@ namespace relcont {
 namespace obs {
 
 /// relcont::obs — networked telemetry for the containment service (see
-/// docs/OBSERVABILITY.md). This header defines the one snapshot type both
-/// metric surfaces render from: the METRICS protocol verb and the
-/// Prometheus `/metrics` endpoint serialize the same MetricsSnapshot, so
-/// their counters cannot drift apart.
+/// docs/OBSERVABILITY.md). This header defines the one snapshot type and
+/// the one series table every metric surface renders from: the METRICS
+/// protocol verb, the Prometheus `/metrics` endpoint and `/statusz` walk
+/// the same rows over the same MetricsSnapshot, so their series cannot
+/// drift apart.
 
 /// Cumulative per-phase timer, aggregated over every recorded trace.
 struct PhaseSnapshot {
@@ -168,24 +171,77 @@ struct MetricsSnapshot {
   uint64_t flight_arena_bytes = 0;
 };
 
-/// The METRICS verb rendering: the line-oriented text dump served over the
-/// protocol (and historically by ServiceMetrics::Dump, which now forwards
-/// here).
+/// A real number, printed with `decimals` digits after the point.
+struct Fixed {
+  double value = 0;
+  int decimals = 3;
+};
+
+/// One sample value. Every surface formats an alternative the same way,
+/// except that /statusz spells a bool as true/false and a string as a JSON
+/// string. Strings appear only on rows absent from /metrics.
+using SeriesValue = std::variant<uint64_t, int64_t, bool, Fixed, std::string>;
+
+/// One label of a family row. METRICS spells it `text_key="value"`, or
+/// `text_key=value` when not `text_quoted`, or the bare value when
+/// `text_key` is empty; /metrics always spells it `key="escaped value"`.
+struct SeriesLabel {
+  const char* key = nullptr;
+  const char* text_key = nullptr;  ///< nullptr: same as `key`
+  bool text_quoted = true;
+};
+
+/// One sample of a family row: a name suffix (the histogram's `_bucket`,
+/// `_sum`, `_count`), values for the first labels.size() row labels, and
+/// the value.
+struct SeriesSample {
+  const char* suffix = "";
+  std::vector<std::string> labels;
+  SeriesValue value;
+};
+
+/// One row of the series table: a scalar series (`value`) or a labelled
+/// family (`labels` + `samples`), with its spelling on every surface.
+struct SeriesRow {
+  const char* text_name = nullptr;  ///< METRICS name; nullptr: absent
+  const char* prom_name = nullptr;  ///< /metrics name; nullptr: absent
+  const char* type = nullptr;  ///< counter | gauge | histogram | log
+  /// Prometheus HELP text. Adjacent rows with one prom_name form one
+  /// family, headed once by the first row's HELP/TYPE.
+  const char* help = nullptr;
+  const char* statusz_group = nullptr;  ///< "": top-level key
+  const char* statusz_key = nullptr;    ///< nullptr: absent from /statusz
+  std::function<SeriesValue(const MetricsSnapshot&)> value = nullptr;
+  const char* prom_labels = nullptr;  ///< constant /metrics labels
+  std::vector<SeriesLabel> labels = {};
+  std::function<std::vector<SeriesSample>(const MetricsSnapshot&)> samples =
+      nullptr;
+};
+
+/// Every series the three snapshot renderers emit, in /metrics order. A
+/// new series is one row here plus one glossary row in
+/// docs/OBSERVABILITY.md (tools/metrics_lint checks the glossary).
+const std::vector<SeriesRow>& SeriesTable();
+
+/// The METRICS verb rendering: one `name value` line per table sample
+/// (`name{labels} value` for families), in table order. The slow log's
+/// sample value spans lines: its description, then the indented span
+/// tree.
 std::string RenderMetricsText(const MetricsSnapshot& snapshot);
 
 /// The Prometheus text exposition (format version 0.0.4) served by
 /// `GET /metrics`: `# HELP`/`# TYPE` headers, `relcont_`-prefixed series,
 /// escaped label values, the cumulative `le` histogram, and a
-/// `relcont_build_info` identity gauge. The slow log is omitted — it is
-/// free-form text, not a numeric series.
+/// `relcont_build_info` identity gauge. A family with no samples renders
+/// nothing, headers included; the slow log is not a numeric series and is
+/// omitted.
 std::string RenderPrometheusText(const MetricsSnapshot& snapshot);
 
 /// The introspection rendering served by the `STATUSZ` protocol verb and
-/// `GET /statusz`: one JSON object (newline-terminated) summarizing
-/// uptime, windowed percentiles, gauges, cache hit rates, bound-site
-/// attribution, and the recent slow requests with their top-phase
-/// breakdown. Same MetricsSnapshot as the other two renderers, so the
-/// three surfaces cannot drift.
+/// `GET /statusz`: one JSON object (newline-terminated) holding the
+/// table rows that name a /statusz key (grouped into objects), the
+/// windowed percentiles, bound-site attribution, and the recent slow
+/// requests with their top-phase breakdown.
 std::string RenderStatuszJson(const MetricsSnapshot& snapshot);
 
 /// The /requestz (and REQUESTZ verb) list rendering: one JSON object

@@ -377,9 +377,4 @@ obs::MetricsSnapshot ServiceMetrics::Snapshot(
   return s;
 }
 
-std::string ServiceMetrics::Dump(const CacheStats& cache,
-                                 const PlanCacheStats& plan_cache) const {
-  return obs::RenderMetricsText(Snapshot(cache, plan_cache));
-}
-
 }  // namespace relcont

@@ -277,15 +277,6 @@ class ServiceMetrics {
   obs::MetricsSnapshot Snapshot(const CacheStats& cache,
                                 const PlanCacheStats& plan_cache = {}) const;
 
-  /// Renders a multi-line text dump: request totals, per-regime counts,
-  /// the supplied cache counters, the latency histogram as cumulative
-  /// Prometheus-style `le` buckets with `latency_us_sum`/`_count`, and —
-  /// when traces were recorded — per-phase timers, per-regime trace
-  /// counter totals, and the slow-request log. Equivalent to
-  /// obs::RenderMetricsText(Snapshot(cache, plan_cache)).
-  std::string Dump(const CacheStats& cache,
-                   const PlanCacheStats& plan_cache = {}) const;
-
  private:
   struct PhaseStat {
     uint64_t ns = 0;

@@ -119,8 +119,9 @@ std::string ServerSession::HandleLine(const std::string& raw_line) {
     return out.empty() ? "OK no catalogs\n" : out;
   }
   if (command == "METRICS") {
-    return service_->metrics().Dump(service_->cache().Stats(),
-                                    service_->planner().cache().Stats());
+    return obs::RenderMetricsText(
+        service_->metrics().Snapshot(service_->cache().Stats(),
+                                     service_->planner().cache().Stats()));
   }
   if (command == "STATUSZ") {
     // The same MetricsSnapshot METRICS and /metrics render, as one JSON

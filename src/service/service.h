@@ -29,6 +29,10 @@ namespace relcont {
 /// catalog registry (mutex), the decision cache (sharded mutexes, values
 /// are interner-independent text), and the metrics (atomics).
 
+/// The deadline, in milliseconds, of a request that sets no timeout_ms of
+/// its own. Finite, so no client request runs without bound.
+inline constexpr int64_t kDefaultTimeoutMs = 30000;
+
 struct ServiceConfig {
   /// Total decision-cache capacity in entries.
   size_t cache_capacity = 4096;
@@ -46,7 +50,7 @@ struct ServiceConfig {
   /// Deadline applied to requests that do not set their own timeout_ms
   /// (0 = no default deadline). A request past its deadline answers
   /// kBoundReached — a bound, not an error.
-  int64_t default_timeout_ms = 0;
+  int64_t default_timeout_ms = kDefaultTimeoutMs;
   /// Worker-thread count for the parallel per-disjunct scan, applied to
   /// requests that do not set their own parallel_workers. 1 = serial.
   int default_parallel_workers = 1;

@@ -11,8 +11,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -21,6 +23,7 @@
 #include "common/json.h"
 #include "gtest/gtest.h"
 #include "obs/access_log.h"
+#include "obs/exposition.h"
 #include "obs/server.h"
 #include "relcont/pi2p_reduction.h"
 #include "service/service.h"
@@ -345,6 +348,29 @@ TEST_F(ObsServerTest, MalformedHttpIs400) {
   EXPECT_EQ(raw.substr(0, 17), "HTTP/1.1 400 Bad ");
 }
 
+/// The values of the lines of `body` that belong to series `name`
+/// (`name value` or `name{labels} value`; with `suffixed`, also the
+/// histogram's `_bucket`/`_sum`/`_count` lines), in order.
+std::vector<std::string> SeriesValues(const std::string& body,
+                                      const std::string& name,
+                                      bool suffixed) {
+  std::vector<std::string> values;
+  std::istringstream in(body);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind(name, 0) != 0) continue;
+    std::string rest = line.substr(name.size());
+    if (suffixed) {
+      for (const char* suffix : {"_bucket", "_sum", "_count"}) {
+        if (rest.rfind(suffix, 0) == 0) rest = rest.substr(strlen(suffix));
+      }
+    }
+    if (rest.empty() || (rest[0] != ' ' && rest[0] != '{')) continue;
+    values.push_back(rest.substr(rest.rfind(' ') + 1));
+  }
+  return values;
+}
+
 /// The acceptance property: /metrics (Prometheus) and the METRICS verb
 /// (text dump) are two renderings of one shared MetricsSnapshot, so every
 /// counter they both expose must agree when the service is quiescent.
@@ -366,70 +392,45 @@ TEST_F(ObsServerTest, MetricsEndpointMatchesMetricsVerb) {
   EXPECT_EQ(reply.headers["Content-Type"],
             "text/plain; version=0.0.4; charset=utf-8");
 
-  auto extract = [](const std::string& body, const std::string& line_key) {
-    size_t pos = body.find(line_key);
-    if (pos == std::string::npos) return std::string("<absent>");
-    pos += line_key.size();
-    size_t end = body.find('\n', pos);
-    return body.substr(pos, end - pos);
+  // Every series both surfaces carry reads the same on each, except rows
+  // that legitimately move between the two scrapes.
+  const std::set<std::string> kMovesBetweenScrapes = {
+      // Wall-clock time passes between the two scrapes.
+      "uptime_seconds",
+      // Each scrape counts the connections open at its own instant.
+      "open_connections",
   };
-  // (METRICS key, Prometheus key) pairs for every shared counter.
-  const std::pair<const char*, const char*> kPairs[] = {
-      {"\nrequests_total ", "\nrelcont_requests_total "},
-      {"\nerrors_total ", "\nrelcont_errors_total "},
-      {"\nrequest_cache_hits ", "\nrelcont_request_cache_hits_total "},
-      {"\ncache_hits ", "\nrelcont_cache_hits_total "},
-      {"\ncache_misses ", "\nrelcont_cache_misses_total "},
-      {"\ncache_entries ", "\nrelcont_cache_entries "},
-      {"\nlatency_us_count ", "\nrelcont_request_latency_microseconds_count "},
-      {"\nlatency_us_sum ", "\nrelcont_request_latency_microseconds_sum "},
-      {"decisions_by_regime{section3} ",
-       "relcont_decisions_total{regime=\"section3\"} "},
-      {"\nplan_requests_total ", "\nrelcont_plan_requests_total "},
-      {"\nrewrite_requests_total ", "\nrelcont_rewrite_requests_total "},
-      {"\nplan_errors_total ", "\nrelcont_plan_errors_total "},
-      {"\nunknown_verbs_total ", "\nrelcont_unknown_verb_total "},
-      {"\ndense_order_propagations_total ",
-       "\nrelcont_dense_order_propagations_total "},
-      {"\ndense_order_pruned_branches_total ",
-       "\nrelcont_dense_order_pruned_branches_total "},
-      {"\ndense_order_bound_hits_total ",
-       "\nrelcont_dense_order_bound_hits_total "},
-      {"\nplan_cache_hits ", "\nrelcont_plan_cache_hits_total "},
-      {"\nplan_cache_misses ", "\nrelcont_plan_cache_misses_total "},
-      {"\nplan_cache_invalidated ",
-       "\nrelcont_plan_cache_invalidated_total "},
-      {"\nplan_cache_entries ", "\nrelcont_plan_cache_entries "},
-      {"\ninflight_requests ", "\nrelcont_inflight_requests "},
-      {"\nbatch_queue_depth ", "\nrelcont_batch_queue_depth "},
-      {"\ndraining ", "\nrelcont_draining "},
-      {"\nhttp_rejected_431_total ",
-       "relcont_http_rejected_total{code=\"431\"} "},
-      {"\nhttp_rejected_408_total ",
-       "relcont_http_rejected_total{code=\"408\"} "},
-      // The windowed series agree too: the 60s window is wide enough that
-      // both scrapes still cover the traffic generated above.
-      {"window_latency_requests{verb=\"contained\",regime=\"all\","
-       "window=\"60s\"} ",
-       "relcont_window_latency_requests{verb=\"contained\",regime=\"all\","
-       "window=\"60s\"} "},
-      {"window_latency_us{verb=\"contained\",regime=\"all\","
-       "window=\"60s\",q=\"p99\"} ",
-       "relcont_window_latency_microseconds{verb=\"contained\","
-       "regime=\"all\",window=\"60s\",quantile=\"p99\"} "},
-  };
-  for (const auto& [text_key, prom_key] : kPairs) {
-    EXPECT_EQ(extract(text, text_key), extract(reply.body, prom_key))
-        << "counter mismatch between METRICS '" << text_key
-        << "' and /metrics '" << prom_key << "'";
+  size_t compared_scalars = 0;
+  for (const obs::SeriesRow& row : obs::SeriesTable()) {
+    if (row.text_name == nullptr || row.prom_name == nullptr ||
+        kMovesBetweenScrapes.count(row.text_name) > 0) {
+      continue;
+    }
+    const bool histogram = std::string(row.type) == "histogram";
+    std::string prom_name = row.prom_name;
+    if (row.prom_labels != nullptr) {
+      prom_name += "{" + std::string(row.prom_labels) + "}";
+    }
+    std::vector<std::string> text_values =
+        SeriesValues(text, row.text_name, histogram);
+    std::vector<std::string> prom_values =
+        SeriesValues(reply.body, prom_name, histogram);
+    EXPECT_EQ(text_values, prom_values)
+        << "METRICS '" << row.text_name << "' and /metrics '" << prom_name
+        << "' disagree";
+    if (row.value != nullptr) {
+      EXPECT_EQ(text_values.size(), 1u) << row.text_name;
+      ++compared_scalars;
+    }
   }
+  EXPECT_GT(compared_scalars, 0u);
   // Sanity: the traffic we generated is visible, not just zero == zero.
-  EXPECT_EQ(extract(text, "\nrequests_total "), "2");
-  EXPECT_EQ(extract(text,
-                    "window_latency_requests{verb=\"contained\","
-                    "regime=\"all\",window=\"60s\"} "),
-            "2");
-  EXPECT_NE(extract(reply.body, "\nrelcont_cache_hits_total "), "0");
+  EXPECT_EQ(SeriesValues(text, "requests_total", false),
+            std::vector<std::string>{"2"});
+  EXPECT_EQ(SeriesValues(text, "decisions_by_regime", false),
+            std::vector<std::string>{"2"});
+  EXPECT_NE(SeriesValues(reply.body, "relcont_cache_hits_total", false),
+            std::vector<std::string>{"0"});
   EXPECT_NE(reply.body.find("relcont_build_info{version=\""),
             std::string::npos);
 }

@@ -4,6 +4,7 @@
 // file behavior (sampling, rotation), histogram bucket edges, and
 // slow-log tie-breaking. The networked half lives in obs_server_test.cc.
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "common/json.h"
+#include "exposition_fixtures.h"
 #include "gtest/gtest.h"
 #include "obs/access_log.h"
 #include "obs/exposition.h"
@@ -98,39 +100,8 @@ TEST(TraceJsonTest, ChromeJsonSurvivesHostileSpanNames) {
 // The shared snapshot renderers: METRICS text and Prometheus exposition
 // must agree because they render the same MetricsSnapshot.
 
-obs::MetricsSnapshot FixtureSnapshot() {
-  obs::MetricsSnapshot s;
-  s.version = "1.2.3";
-  s.trace_compiled_in = true;
-  s.start_time_unix_seconds = 1700000000;
-  s.uptime_seconds = 12.5;
-  s.requests = 42;
-  s.errors = 2;
-  s.request_cache_hits = 7;
-  s.decisions_by_regime.push_back({"section3", 40});
-  s.decisions_by_regime.push_back({"theorem5.1", 2});
-  s.cache.hits = 7;
-  s.cache.misses = 35;
-  s.cache.evictions = 1;
-  s.cache.entries = 34;
-  s.dense_order_propagations = 901;
-  s.dense_order_pruned_branches = 77;
-  s.dense_order_bound_hits = 3;
-  for (int i = 0; i < LatencyHistogram::kBuckets; ++i) {
-    obs::HistogramBucket bucket;
-    bucket.unbounded = i == LatencyHistogram::kBuckets - 1;
-    bucket.le = bucket.unbounded ? 0 : (uint64_t{1} << i) - 1;
-    bucket.cumulative_count = 42;
-    s.latency_buckets.push_back(bucket);
-  }
-  s.latency_sum_micros = 1234;
-  s.latency_count = 42;
-  s.phases.push_back({"decide \"hostile\"\\phase", 5000, 3});
-  return s;
-}
-
 TEST(ExpositionTest, TextAndPrometheusRenderTheSameCounters) {
-  obs::MetricsSnapshot s = FixtureSnapshot();
+  obs::MetricsSnapshot s = testing_fixtures::FixtureSnapshot();
   std::string text = obs::RenderMetricsText(s);
   std::string prom = obs::RenderPrometheusText(s);
 
@@ -177,29 +148,51 @@ TEST(ExpositionTest, TextAndPrometheusRenderTheSameCounters) {
             std::string::npos);
 }
 
-TEST(ExpositionTest, DumpEqualsRenderedSnapshot) {
-  ServiceMetrics metrics;
-  metrics.RecordRequest(Regime::kSection3, 100, false, false);
-  metrics.RecordRequest(Regime::kSection3, 3, false, true);
-  CacheStats cache;
-  cache.hits = 1;
-  cache.misses = 1;
-  // Dump is the text rendering of the snapshot; uptime is the only field
-  // that moves between the two calls, so compare around it.
-  std::string dump = metrics.Dump(cache);
-  std::string rendered = obs::RenderMetricsText(metrics.Snapshot(cache));
-  auto strip_uptime = [](const std::string& text) {
-    std::string out;
-    std::istringstream in(text);
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.rfind("uptime_seconds ", 0) == 0) continue;
-      out += line;
-      out += '\n';
+// Golden renderings of the fixture snapshots and an empty one:
+// /metrics and /statusz must match the committed bytes. METRICS is compared
+// as a multiset of lines, because its line order is not a contract, with
+// each indented span-tree line kept attached to the slow_request line it
+// follows.
+
+std::string ReadGolden(const std::string& name) {
+  std::ifstream in(std::string(RELCONT_TESTDATA_DIR) + "/exposition/" + name,
+                   std::ios::binary);
+  EXPECT_TRUE(in.good()) << name;
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+std::vector<std::string> SortedMetricsEntries(const std::string& text) {
+  std::vector<std::string> entries;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("    ", 0) == 0 && !entries.empty()) {
+      entries.back() += "\n" + line;
+    } else {
+      entries.push_back(line);
     }
-    return out;
-  };
-  EXPECT_EQ(strip_uptime(dump), strip_uptime(rendered));
+  }
+  std::sort(entries.begin(), entries.end());
+  return entries;
+}
+
+TEST(ExpositionTest, RenderingsMatchGoldenFiles) {
+  const std::pair<std::string, obs::MetricsSnapshot> cases[] = {
+      {"full", testing_fixtures::FullyPopulatedSnapshot()},
+      {"fixture", testing_fixtures::FixtureSnapshot()},
+      {"empty", obs::MetricsSnapshot{}}};
+  for (const auto& [name, snapshot] : cases) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(obs::RenderPrometheusText(snapshot),
+              ReadGolden(name + ".prom.txt"));
+    const std::string statusz = obs::RenderStatuszJson(snapshot);
+    EXPECT_EQ(statusz, ReadGolden(name + ".statusz.json"));
+    EXPECT_TRUE(json::Parse(statusz).ok());
+    EXPECT_EQ(SortedMetricsEntries(obs::RenderMetricsText(snapshot)),
+              SortedMetricsEntries(ReadGolden(name + ".metrics.txt")));
+  }
 }
 
 // ---------------------------------------------------------------------------

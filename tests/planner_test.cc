@@ -13,6 +13,7 @@
 
 #include "common/json.h"
 #include "datalog/parser.h"
+#include "obs/exposition.h"
 #include "planner/plan_cache.h"
 #include "planner/planner.h"
 #include "relcont/workload.h"
@@ -266,8 +267,8 @@ TEST_F(PlannerTest, PlannerMetricsFlowIntoTheSharedSnapshot) {
   EXPECT_EQ(service_.metrics().plan_requests(), 2u);
   EXPECT_EQ(service_.metrics().rewrite_requests(), 1u);
   EXPECT_EQ(service_.metrics().plan_errors(), 1u);
-  std::string dump = service_.metrics().Dump(
-      service_.cache().Stats(), service_.planner().cache().Stats());
+  std::string dump = obs::RenderMetricsText(service_.metrics().Snapshot(
+      service_.cache().Stats(), service_.planner().cache().Stats()));
   EXPECT_NE(dump.find("plan_requests_total 2"), std::string::npos) << dump;
   EXPECT_NE(dump.find("rewrite_requests_total 1"), std::string::npos);
   EXPECT_NE(dump.find("plan_errors_total 1"), std::string::npos);

@@ -8,6 +8,7 @@
 #include "containment/canonical.h"
 #include "containment/homomorphism.h"
 #include "datalog/parser.h"
+#include "obs/exposition.h"
 #include "relcont/pi2p_reduction.h"
 #include "relcont/relative_containment.h"
 #include "relcont/workload.h"
@@ -522,6 +523,11 @@ TEST(ServiceDeadlineTest, StepBudgetTripsDeterministically) {
   EXPECT_TRUE(full.status.ok()) << full.status.ToString();
 }
 
+TEST(ServiceDeadlineTest, DefaultConfigDeadlineIsFinite) {
+  EXPECT_GT(ServiceConfig{}.default_timeout_ms, 0);
+  EXPECT_EQ(ServiceConfig{}.default_timeout_ms, kDefaultTimeoutMs);
+}
+
 TEST(ServiceDeadlineTest, ConfigDefaultTimeoutAppliesWhenRequestSetsNone) {
   std::string views_text;
   DecisionRequest request;
@@ -679,7 +685,7 @@ TEST(MetricsTest, HistogramBucketsAndDump) {
   CacheStats cache;
   cache.hits = 1;
   cache.misses = 3;
-  std::string dump = metrics.Dump(cache);
+  std::string dump = obs::RenderMetricsText(metrics.Snapshot(cache));
   EXPECT_NE(dump.find("requests_total 4"), std::string::npos);
   EXPECT_NE(dump.find("decisions_by_regime{section3} 2"),
             std::string::npos);
@@ -706,7 +712,7 @@ TEST(MetricsTest, BudgetCountersAppearInDumpAndSnapshot) {
   EXPECT_EQ(metrics.deadline_exceeded(), 1u);
   EXPECT_EQ(metrics.tasks_spawned(), 7u);
   EXPECT_EQ(metrics.tasks_completed(), 7u);
-  std::string dump = metrics.Dump(CacheStats{});
+  std::string dump = obs::RenderMetricsText(metrics.Snapshot(CacheStats{}));
   EXPECT_NE(dump.find("deadline_exceeded 1"), std::string::npos) << dump;
   EXPECT_NE(dump.find("parallel_tasks_spawned 7"), std::string::npos)
       << dump;
@@ -719,7 +725,7 @@ TEST(MetricsTest, CumulativeBucketsAreMonotone) {
   for (uint64_t us : {0u, 3u, 3u, 17u, 90u, 5000u, 123456u}) {
     metrics.RecordRequest(Regime::kSection3, us, false, false);
   }
-  std::string dump = metrics.Dump(CacheStats{});
+  std::string dump = obs::RenderMetricsText(metrics.Snapshot(CacheStats{}));
   // Parse back every latency_us_bucket value; the sequence must be
   // nondecreasing and end at the total count.
   uint64_t prev = 0;
@@ -754,7 +760,7 @@ TEST(MetricsTest, SlowLogKeepsWorstTraces) {
   EXPECT_EQ(log[0].description, "slow");
   EXPECT_EQ(log[1].latency_micros, 100u);
   EXPECT_NE(log[0].trace_text.find("decide"), std::string::npos);
-  std::string dump = metrics.Dump(CacheStats{});
+  std::string dump = obs::RenderMetricsText(metrics.Snapshot(CacheStats{}));
   EXPECT_NE(dump.find("slow_request{rank=0,latency_us=500"),
             std::string::npos);
 }
@@ -949,7 +955,8 @@ TEST_F(ServiceTraceTest, ConcurrentTracedBatchIsConsistent) {
                   Regime::kSection3, trace::Counter::kHomMappingCalls),
               0u);
   }
-  std::string dump = service.metrics().Dump(service.cache().Stats());
+  std::string dump = obs::RenderMetricsText(
+      service.metrics().Snapshot(service.cache().Stats()));
   EXPECT_NE(dump.find("latency_us_count 24"), std::string::npos);
 }
 
