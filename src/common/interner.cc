@@ -24,4 +24,12 @@ SymbolId Interner::Fresh(std::string_view prefix) {
   }
 }
 
+void Interner::Truncate(int64_t size) {
+  assert(size >= 0);
+  while (static_cast<int64_t>(names_.size()) > size) {
+    ids_.erase(names_.back());
+    names_.pop_back();
+  }
+}
+
 }  // namespace relcont

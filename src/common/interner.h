@@ -1,6 +1,7 @@
 #ifndef RELCONT_COMMON_INTERNER_H_
 #define RELCONT_COMMON_INTERNER_H_
 
+#include <cassert>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -41,8 +42,13 @@ class Interner {
   /// Returns the id for `name`, or kInvalidSymbol if it was never interned.
   SymbolId Lookup(std::string_view name) const;
 
-  /// Returns the string for `id`. `id` must have been produced by Intern().
-  const std::string& NameOf(SymbolId id) const { return names_[id]; }
+  /// Returns the string for `id`. `id` must have been produced by Intern()
+  /// and not forgotten by a later Truncate() (checked in debug builds: a
+  /// stale id would otherwise read whatever name now holds its slot).
+  const std::string& NameOf(SymbolId id) const {
+    assert(id >= 0 && id < size());
+    return names_[id];
+  }
 
   /// Number of distinct symbols interned so far.
   int64_t size() const { return static_cast<int64_t>(names_.size()); }
@@ -51,10 +57,32 @@ class Interner {
   /// the form "<prefix><n>". Useful for fresh variables and Skolem functions.
   SymbolId Fresh(std::string_view prefix);
 
+  /// Forgets every symbol with id >= `size`, so the next Intern() of a new
+  /// name reuses id `size`. The Fresh() counter is not rewound: a name
+  /// minted after the truncation never repeats one minted before it.
+  void Truncate(int64_t size);
+
  private:
   std::unordered_map<std::string, SymbolId> ids_;
   std::vector<std::string> names_;
   int64_t fresh_counter_ = 0;
+};
+
+/// Scopes the symbols interned during one unit of work: records the
+/// interner's size on construction and truncates back to it on
+/// destruction. Every SymbolId minted inside the scope is dead afterwards,
+/// so whatever must outlive the scope leaves it as rendered text.
+class InternerScope {
+ public:
+  explicit InternerScope(Interner* interner)
+      : interner_(interner), mark_(interner->size()) {}
+  ~InternerScope() { interner_->Truncate(mark_); }
+  InternerScope(const InternerScope&) = delete;
+  InternerScope& operator=(const InternerScope&) = delete;
+
+ private:
+  Interner* interner_;
+  int64_t mark_;
 };
 
 }  // namespace relcont

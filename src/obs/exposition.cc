@@ -235,6 +235,15 @@ std::string RenderSeriesLines(const Snap& s, bool prom) {
   return out;
 }
 
+/// Appends `"key":value` for one row that names a /statusz key.
+void AppendStatuszMember(const SeriesRow& row, const Snap& s,
+                         std::string* out) {
+  *out += '"';
+  *out += row.statusz_key;
+  *out += "\":";
+  AppendValue(row.value(s), true, out);
+}
+
 /// Appends `"key":value` for every row of `group` ("": top level),
 /// comma-separated from whatever member precedes it.
 void AppendStatuszMembers(const Snap& s, const char* group, std::string* out) {
@@ -244,10 +253,7 @@ void AppendStatuszMembers(const Snap& s, const char* group, std::string* out) {
       continue;
     }
     if (out->back() != '{') *out += ',';
-    *out += '"';
-    *out += row.statusz_key;
-    *out += "\":";
-    AppendValue(row.value(s), true, out);
+    AppendStatuszMember(row, s, out);
   }
 }
 
@@ -459,6 +465,19 @@ std::string RenderMetricsText(const MetricsSnapshot& s) {
 
 std::string RenderPrometheusText(const MetricsSnapshot& s) {
   return RenderSeriesLines(s, true);
+}
+
+std::string RenderStatuszMember(const MetricsSnapshot& s,
+                                const char* statusz_key) {
+  std::string out;
+  for (const SeriesRow& row : SeriesTable()) {
+    if (row.statusz_key != nullptr && row.statusz_group[0] == '\0' &&
+        std::strcmp(row.statusz_key, statusz_key) == 0) {
+      AppendStatuszMember(row, s, &out);
+      break;
+    }
+  }
+  return out;
 }
 
 std::string RenderStatuszJson(const MetricsSnapshot& s) {

@@ -244,6 +244,13 @@ std::string RenderPrometheusText(const MetricsSnapshot& snapshot);
 /// requests with their top-phase breakdown.
 std::string RenderStatuszJson(const MetricsSnapshot& snapshot);
 
+/// The top-level member `"statusz_key":value` exactly as RenderStatuszJson
+/// spells it ("" when no table row has that top-level key). GET /buildz
+/// quotes its version and clock values through this, so the two
+/// endpoints cannot disagree on a value's form.
+std::string RenderStatuszMember(const MetricsSnapshot& snapshot,
+                                const char* statusz_key);
+
 /// The /requestz (and REQUESTZ verb) list rendering: one JSON object
 /// (newline-terminated) with the recorder's counters, the retained ids
 /// (newest first), and the recent ring wide events (newest first, rendered

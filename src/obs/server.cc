@@ -11,7 +11,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "common/json.h"
 #include "obs/exposition.h"
 #include "obs/http.h"
 #include "trace/trace.h"
@@ -405,16 +404,13 @@ std::string ObsServer::BuildzJson() const {
       service_->metrics().Snapshot(service_->cache().Stats(),
                                    service_->planner().cache().Stats());
   const ServiceConfig& config = service_->config();
-  std::string out = "{\"version\":";
-  json::AppendEscaped(snapshot.version, &out);
+  std::string out = "{" + RenderStatuszMember(snapshot, "version");
   out += ",\"trace_compiled_in\":";
   out += trace::kCompiledIn ? "true" : "false";
   out += ",\"trace_requests\":";
   out += config.trace_requests ? "true" : "false";
-  out += ",\"start_time_unix_seconds\":";
-  out += std::to_string(snapshot.start_time_unix_seconds);
-  out += ",\"uptime_seconds\":";
-  out += std::to_string(snapshot.uptime_seconds);
+  out += ',' + RenderStatuszMember(snapshot, "start_time_unix_seconds");
+  out += ',' + RenderStatuszMember(snapshot, "uptime_seconds");
   out += ",\"cache_capacity\":";
   out += std::to_string(service_->cache().capacity());
   out += ",\"cache_shards\":";

@@ -141,6 +141,10 @@ PlanResponse Planner::Plan(const PlanRequest& request, PlannerContext* ctx) {
         return Status::OK();
       }
     }
+    // The plan's Skolem functions, fresh variables and dom predicate live
+    // only until the plan is rendered and cached (same scope as
+    // ContainmentService::Decide).
+    InternerScope request_symbols(ctx->interner());
     BudgetScope budget_scope(&budget);
     RELCONT_TRACE_SPAN("planner_plan");
     if (!catalog->patterns.empty()) {
@@ -276,6 +280,7 @@ RewriteResponse Planner::Rewrite(const RewriteRequest& request,
         return Status::OK();
       }
     }
+    InternerScope request_symbols(ctx->interner());
     BudgetScope budget_scope(&budget);
     RELCONT_TRACE_SPAN("planner_rewrite");
     if (used_patterns) {

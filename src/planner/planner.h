@@ -34,8 +34,9 @@ struct PlannerConfig {
   size_t cache_capacity = 4096;
   size_t cache_shards = 8;
   /// A planner arena is discarded and rebuilt once its interner holds more
-  /// than this many symbols (plan construction mints Skolem functions and
-  /// fresh predicates per request, so arenas grow without bound).
+  /// than this many symbols. The Skolem functions and fresh predicates an
+  /// uncached plan mints are rolled back when it ends, so this caps only
+  /// materialized catalogs and parsed query names.
   int64_t max_worker_symbols = 1 << 20;
   /// When true every plan request is traced and folded into the metrics
   /// aggregates (as if collect_trace were set).

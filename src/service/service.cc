@@ -211,6 +211,11 @@ DecisionResponse ContainmentService::Decide(const DecisionRequest& request,
         return Status::OK();
       }
     }
+    // Everything the decision interns from here on (renamed-apart rule
+    // copies, fresh unfold variables, Skolem terms) dies with the request:
+    // the witness leaves as text, and the scope rolls the arena back to
+    // the catalogs and parsed queries on every exit path.
+    InternerScope request_symbols(ctx->interner());
     DecideOptions options = request.options;
     if (options.parallel_workers <= 1) {
       options.parallel_workers = config_.default_parallel_workers;

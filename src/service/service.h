@@ -38,8 +38,9 @@ struct ServiceConfig {
   size_t cache_capacity = 4096;
   size_t cache_shards = 8;
   /// A worker arena is discarded and rebuilt once its interner holds more
-  /// than this many symbols (decision procedures mint fresh symbols per
-  /// request, so long-lived arenas grow without bound).
+  /// than this many symbols. The symbols an uncached decision mints are
+  /// rolled back when it ends, so this caps only what an arena keeps:
+  /// materialized catalogs and the names of parsed queries.
   int64_t max_worker_symbols = 1 << 20;
   /// When true every request is traced (as if collect_trace were set) and
   /// folded into the metrics aggregates. Off by default: tracing allocates
@@ -116,7 +117,9 @@ struct DecisionResponse {
 };
 
 /// Per-thread working memory: the interner arena plus the catalogs
-/// materialized against it. NOT thread-safe — each context must be used by
+/// materialized against it. Decide() keeps the catalogs and parsed query
+/// names in the arena and rolls back every symbol an uncached decision
+/// mints (InternerScope). NOT thread-safe — each context must be used by
 /// one thread at a time (constructing one is cheap).
 class WorkerContext {
  public:

@@ -87,6 +87,37 @@ TEST(InternerTest, FreshAvoidsCollisions) {
   EXPECT_NE(f, g);
 }
 
+TEST(InternerTest, ScopeRollsBackButFreshNamesNeverRepeat) {
+  Interner interner;
+  SymbolId kept = interner.Intern("kept");
+  std::string minted;
+  {
+    InternerScope scope(&interner);
+    interner.Intern("scoped");
+    minted = interner.NameOf(interner.Fresh("_v"));
+    EXPECT_EQ(interner.size(), 3);
+  }
+  EXPECT_EQ(interner.size(), 1);
+  EXPECT_EQ(interner.Lookup("scoped"), kInvalidSymbol);
+  EXPECT_EQ(interner.Lookup(minted), kInvalidSymbol);
+  EXPECT_EQ(interner.NameOf(kept), "kept");
+  // Ids are reused after the rollback; fresh names are not.
+  EXPECT_EQ(interner.Intern("other"), 1);
+  EXPECT_NE(interner.NameOf(interner.Fresh("_v")), minted);
+}
+
+#ifndef NDEBUG
+TEST(InternerDeathTest, StaleIdFailsInDebugBuilds) {
+  Interner interner;
+  SymbolId stale = kInvalidSymbol;
+  {
+    InternerScope scope(&interner);
+    stale = interner.Intern("gone");
+  }
+  EXPECT_DEATH(interner.NameOf(stale), "");
+}
+#endif
+
 TEST(RationalTest, NormalizesOnConstruction) {
   Rational r(4, 8);
   EXPECT_EQ(r.num(), 1);

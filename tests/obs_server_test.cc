@@ -248,6 +248,27 @@ TEST_F(ObsServerTest, BuildzReportsIdentityAsJson) {
   EXPECT_TRUE(parsed->Find("trace_compiled_in")->is_bool());
   EXPECT_GT(parsed->Find("cache_capacity")->number_value, 0);
   EXPECT_DOUBLE_EQ(parsed->Find("batch_threads")->number_value, 2);
+
+  // The clock and identity values are spelled as /statusz spells them:
+  // the same version string and start time, and uptime with three
+  // decimals on both endpoints.
+  std::string statusz = Get(port(), "/statusz").body;
+  auto raw_member = [](const std::string& body, const std::string& key) {
+    size_t pos = body.find("\"" + key + "\":");
+    if (pos == std::string::npos) return std::string();
+    pos += key.size() + 3;
+    return body.substr(pos, body.find_first_of(",}", pos) - pos);
+  };
+  EXPECT_EQ(raw_member(reply.body, "version"),
+            raw_member(statusz, "version"));
+  EXPECT_EQ(raw_member(reply.body, "start_time_unix_seconds"),
+            raw_member(statusz, "start_time_unix_seconds"));
+  for (const std::string& body : {reply.body, statusz}) {
+    std::string uptime = raw_member(body, "uptime_seconds");
+    size_t dot = uptime.find('.');
+    ASSERT_NE(dot, std::string::npos) << body;
+    EXPECT_EQ(uptime.size() - dot - 1, 3u) << uptime;
+  }
 }
 
 TEST_F(ObsServerTest, UnknownPathIs404AndBadMethodIs405) {

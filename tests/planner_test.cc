@@ -258,6 +258,44 @@ TEST_F(PlannerTest, ExpiredDeadlineAnswersBoundReachedNeverAWrongPlan) {
   EXPECT_EQ(service_.planner().cache().Stats().entries, 0u);
 }
 
+// Uncached PLAN? and REWRITE? requests mint Skolem functions, fresh
+// variables and dom predicates only inside a scope that rolls back when
+// the request ends: after the first round has materialized both catalogs
+// and parsed the query names, the planner arena stays the same size.
+TEST_F(PlannerTest, UncachedPlansLeaveTheArenaFlat) {
+  const std::string chain = "q(X, Z) :- e(X, Y), e(Y, Z).";
+  const std::string edge = "q2(X, Y) :- e(X, Y).";
+  auto round = [&] {
+    for (const char* catalog : {"plain", "bound"}) {
+      PlanResponse plan = Plan(chain, catalog, /*bypass_cache=*/true);
+      ASSERT_TRUE(plan.status.ok()) << plan.status.ToString();
+      RewriteRequest request;
+      request.q1_text = edge;
+      request.q2_text = chain;
+      request.catalog = catalog;
+      request.bypass_cache = true;
+      RewriteResponse rewrite = service_.planner().Rewrite(request, &ctx_);
+      ASSERT_TRUE(rewrite.status.ok()) << rewrite.status.ToString();
+    }
+  };
+  round();
+  const int64_t size = ctx_.interner()->size();
+  for (int i = 0; i < 50; ++i) {
+    round();
+    ASSERT_EQ(ctx_.interner()->size(), size) << "after round " << i;
+  }
+  // A bound ends the request on another path; it rolls back too.
+  PlanRequest bounded;
+  bounded.query_text = chain;
+  bounded.catalog = "plain";
+  bounded.bypass_cache = true;
+  bounded.options.max_steps = 1;
+  PlanResponse r = service_.planner().Plan(bounded, &ctx_);
+  EXPECT_EQ(r.status.code(), StatusCode::kBoundReached)
+      << r.status.ToString();
+  EXPECT_EQ(ctx_.interner()->size(), size);
+}
+
 TEST_F(PlannerTest, PlannerMetricsFlowIntoTheSharedSnapshot) {
   ASSERT_TRUE(Plan("q(X, Z) :- e(X, Y), e(Y, Z).", "plain").status.ok());
   ASSERT_TRUE(Rewrite("q1(X, Y) :- e(X, Y).", "q2(X, Y) :- e(X, Y).",

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-
+#include <random>
 #include <string>
 #include <vector>
 
@@ -267,15 +267,23 @@ TEST_F(ServiceTest, WorkerArenaResetKeepsServing) {
   ContainmentService service(config);
   ASSERT_TRUE(service.catalogs().Register("main", "v(X, Y) :- p(X, Y).\n").ok());
   WorkerContext ctx;
+  int resets = 0;
+  int64_t last_size = 0;
   for (int i = 0; i < 32; ++i) {
+    // Decisions roll their own symbols back, so only parsed names grow
+    // the arena: distinct names per request push it past the cap.
+    const std::string n = std::to_string(i);
     DecisionRequest request;
-    request.q1_text = "a(X) :- p(X, X).";
-    request.q2_text = "b(X) :- p(X, Y).";
+    request.q1_text = "a" + n + "(X" + n + ") :- p(X" + n + ", X" + n + ").";
+    request.q2_text = "b" + n + "(X" + n + ") :- p(X" + n + ", Y" + n + ").";
     request.catalog = "main";
     DecisionResponse response = service.Decide(request, &ctx);
     ASSERT_TRUE(response.status.ok()) << response.status.ToString();
     EXPECT_TRUE(response.contained);
+    resets += ctx.interner()->size() < last_size ? 1 : 0;
+    last_size = ctx.interner()->size();
   }
+  EXPECT_GT(resets, 0);
   EXPECT_EQ(service.metrics().requests(), 32u);
 }
 
@@ -543,6 +551,138 @@ TEST(ServiceDeadlineTest, ConfigDefaultTimeoutAppliesWhenRequestSetsNone) {
   EXPECT_EQ(response.status.code(), StatusCode::kBoundReached)
       << response.status.ToString();
   EXPECT_GE(service.metrics().deadline_exceeded(), 1u);
+}
+
+// --- request-scoped symbol arenas -------------------------------------------
+
+// An uncached decision interns its renamed-apart rules, fresh unfold
+// variables and Skolem terms into a scope that rolls back when the request
+// ends. Once the first requests have materialized the catalogs and parsed
+// the query names, the worker arena stays the same size on every path: a
+// verdict, a bound and an error.
+TEST(ServiceArenaTest, UncachedDecisionsLeaveTheArenaFlat) {
+  ContainmentService service;
+  ASSERT_TRUE(service.catalogs()
+                  .Register("main",
+                            "v1(X, Y) :- p(X, Y).\n"
+                            "v2(X) :- s(X).\n")
+                  .ok());
+  std::string qbf_views;
+  DecisionRequest bounded;
+  HardRequestWorkload(&qbf_views, &bounded);
+  ASSERT_TRUE(service.catalogs().Register("qbf", qbf_views).ok());
+  bounded.options.max_steps = 1;
+  bounded.bypass_cache = true;
+
+  DecisionRequest cold;
+  cold.q1_text = "a(X) :- p(X, Y).";
+  cold.q2_text = "b(X) :- p(X, Y), s(X).";
+  cold.catalog = "main";
+  cold.bypass_cache = true;
+  // Fails inside the decision, after both queries parsed: a recursive
+  // Q1 cannot be unfolded against a Q2 with comparisons.
+  DecisionRequest failing = cold;
+  failing.q1_text = "a(X) :- a(X), p(X, Y).";
+  failing.q2_text = "b(X) :- p(X, Y), X < Y.";
+
+  WorkerContext ctx;
+  for (const DecisionRequest* request : {&cold, &bounded, &failing}) {
+    service.Decide(*request, &ctx);
+  }
+  const int64_t size = ctx.interner()->size();
+
+  for (int i = 0; i < 200; ++i) {
+    DecisionResponse response = service.Decide(cold, &ctx);
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    EXPECT_FALSE(response.contained);
+    EXPECT_FALSE(response.witness_text.empty());
+    ASSERT_EQ(ctx.interner()->size(), size) << "after cold decision " << i;
+  }
+  DecisionResponse bound = service.Decide(bounded, &ctx);
+  EXPECT_EQ(bound.status.code(), StatusCode::kBoundReached)
+      << bound.status.ToString();
+  EXPECT_EQ(ctx.interner()->size(), size);
+  DecisionResponse error = service.Decide(failing, &ctx);
+  EXPECT_FALSE(error.status.ok());
+  EXPECT_NE(error.status.code(), StatusCode::kBoundReached)
+      << error.status.ToString();
+  EXPECT_EQ(ctx.interner()->size(), size);
+}
+
+// Example 1 of the paper with varied constants (the rating constant and
+// the year bound), so pairs land in the comparison regimes.
+std::string Example1Query(std::mt19937_64* rng, const std::string& head) {
+  std::uniform_int_distribution<int> shape(0, 3);
+  std::uniform_int_distribution<int> year(1950, 1990);
+  std::uniform_int_distribution<int> rating(8, 10);
+  std::string out = head + "(CarNo, Review) :- cardesc(CarNo, Model, C, Y), ";
+  int s = shape(*rng);
+  out += (s == 0 || s == 1) ? "review(Model, Review, Rating)"
+                            : "review(Model, Review, " +
+                                  std::to_string(rating(*rng)) + ")";
+  if (s == 1 || s == 3) out += ", Y < " + std::to_string(year(*rng));
+  out += ".";
+  return out;
+}
+
+// The rollback must not change an answer: one long-lived worker arena
+// serves random-view and Example 1 pairs, and each verdict, regime and
+// witness (up to variable renaming) equals the library's decision on a
+// fresh Interner.
+TEST(ServiceArenaTest, ServedDecisionsEqualAFreshInterner) {
+  const std::string example1_views =
+      "redcars(CarNo, Model, Year) :- cardesc(CarNo, Model, red, Year).\n"
+      "antiquecars(CarNo, Model, Year) :- "
+      "cardesc(CarNo, Model, Color, Year), Year < 1970.\n"
+      "caranddriver(Model, Review) :- review(Model, Review, 10).\n";
+  std::string random_views;
+  std::vector<DecisionRequest> requests = RandomWorkload(40, &random_views);
+  std::mt19937_64 rng(5);
+  for (int i = 0; i < 40; ++i) {
+    DecisionRequest request;
+    request.q1_text = Example1Query(&rng, "xa" + std::to_string(i));
+    request.q2_text = Example1Query(&rng, "xb" + std::to_string(i));
+    request.catalog = "ex1";
+    // Interleaved, so every arena rollback sits between two catalogs.
+    requests.insert(requests.begin() + 2 * i + 1, std::move(request));
+  }
+  ContainmentService service;
+  ASSERT_TRUE(service.catalogs().Register("rand", random_views).ok());
+  ASSERT_TRUE(service.catalogs().Register("ex1", example1_views).ok());
+  WorkerContext ctx;
+  int not_contained = 0;
+  for (const DecisionRequest& request : requests) {
+    SCOPED_TRACE(request.q1_text + " => " + request.q2_text);
+    DecisionResponse served = service.Decide(request, &ctx);
+    ASSERT_TRUE(served.status.ok()) << served.status.ToString();
+
+    Interner fresh;
+    Result<ViewSet> views = ParseViews(
+        request.catalog == "ex1" ? example1_views : random_views, &fresh);
+    ASSERT_TRUE(views.ok());
+    Result<Program> p1 = ParseProgram(request.q1_text, &fresh);
+    Result<Program> p2 = ParseProgram(request.q2_text, &fresh);
+    ASSERT_TRUE(p1.ok() && p2.ok());
+    GoalQuery q1{*p1, p1->rules[0].head.predicate};
+    GoalQuery q2{*p2, p2->rules[0].head.predicate};
+    Result<Decision> oracle =
+        DecideRelativeContainment(q1, q2, *views, {}, &fresh);
+    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+
+    EXPECT_EQ(served.contained, oracle->contained);
+    EXPECT_EQ(served.regime, oracle->regime);
+    ASSERT_EQ(served.witness_text.empty(), !oracle->witness.has_value());
+    if (served.witness_text.empty()) continue;
+    ++not_contained;
+    Interner check;
+    Result<Rule> witness = ParseRule(served.witness_text, &check);
+    ASSERT_TRUE(witness.ok()) << witness.status().ToString();
+    EXPECT_EQ(CanonicalRuleFingerprint(*witness, check),
+              CanonicalRuleFingerprint(*oracle->witness, fresh));
+  }
+  // Both verdicts occur, so the witness comparison is exercised.
+  EXPECT_GT(not_contained, 0);
+  EXPECT_LT(not_contained, static_cast<int>(requests.size()));
 }
 
 // --- protocol ---------------------------------------------------------------

@@ -11,9 +11,10 @@
 //      per `_bucket`/`_sum`/`_count` series);
 //   2. the /requestz JSON (both the list and the per-id drill-down,
 //      rendered from a synthetic fully populated flight recorder)
-//      reparses, and every key in it appears in the OBSERVABILITY.md
-//      wide-event schema table (the chrome_trace subtree is exempt — its
-//      keys are Chrome's, documented upstream).
+//      reparses, and every key in it has its own row in one of the
+//      flight-recorder schema tables of OBSERVABILITY.md (the
+//      chrome_trace subtree is exempt — its keys are Chrome's,
+//      documented upstream).
 //
 // Adding a series without its glossary row fails this binary, and it runs
 // as a ctest case, so CI gates on it.
@@ -78,17 +79,17 @@ void CollectJsonKeys(const relcont::json::Value& value,
   }
 }
 
-/// The rows of the table under the "### Series glossary" heading.
-std::vector<std::string> GlossaryRows(const std::string& doc) {
+/// The table rows (lines opening with a `code` cell) of the section under
+/// `heading`, up to the next heading of the same or a higher level.
+std::vector<std::string> SectionRows(const std::string& doc,
+                                     const std::string& heading) {
   std::vector<std::string> rows;
-  std::istringstream in(doc.substr(
-      std::min(doc.size(), doc.find("\n### Series glossary\n"))));
+  size_t start = doc.find("\n" + heading + "\n");
+  if (start == std::string::npos) return rows;
+  std::istringstream in(doc.substr(start + heading.size() + 2));
   for (std::string line; std::getline(in, line);) {
-    if (line.rfind("| `", 0) == 0) {
-      rows.push_back(line);
-    } else if (!rows.empty()) {
-      break;
-    }
+    if (line.rfind("## ", 0) == 0 || line.rfind("### ", 0) == 0) break;
+    if (line.rfind("| `", 0) == 0) rows.push_back(line);
   }
   return rows;
 }
@@ -125,7 +126,8 @@ int main(int argc, char** argv) {
   // 1. Every table row has a glossary row naming both of its names (a
   //    METRICS name never starts with relcont_, so the cells cannot be
   //    confused) and its kind.
-  const std::vector<std::string> glossary = GlossaryRows(doc);
+  const std::vector<std::string> glossary =
+      SectionRows(doc, "### Series glossary");
   size_t series = 0;
   for (const relcont::obs::SeriesRow& row : relcont::obs::SeriesTable()) {
     if (row.text_name == nullptr && row.prom_name == nullptr) continue;
@@ -154,8 +156,11 @@ int main(int argc, char** argv) {
 
   // 2. /requestz schema: render both shapes (list and drill-down) from a
   //    fully populated recorder, reparse, and require every JSON key to
-  //    appear verbatim in the OBSERVABILITY.md schema table. A wide-event
-  //    field added to flight.cc without documenting it fails here.
+  //    have its own row (first cell `key`) in a schema table of the
+  //    flight-recorder section. A wide-event field added to flight.cc
+  //    without documenting it fails here.
+  const std::vector<std::string> schema =
+      SectionRows(doc, "### Flight recorder (`src/obs/flight.h`)");
   relcont::obs::FlightRecorder flight;
   PopulateFlightRecorder(&flight);
   const std::string requestz_list =
@@ -183,9 +188,13 @@ int main(int argc, char** argv) {
     std::set<std::string> keys;
     CollectJsonKeys(*doc_parsed, &keys);
     for (const std::string& key : keys) {
-      if (doc.find(key) == std::string::npos) {
+      const bool documented =
+          std::any_of(schema.begin(), schema.end(), [&](const auto& row) {
+            return row.rfind("| `" + key + "` |", 0) == 0;
+          });
+      if (!documented) {
         fail(std::string(label) + " key '" + key +
-             "' is not documented in " + std::string(argv[1]));
+             "' has no schema table row in " + std::string(argv[1]));
       }
     }
   }
