@@ -7,9 +7,8 @@
 #include <variant>
 #include <vector>
 
+#include "common/sharded_lru.h"
 #include "obs/flight.h"
-#include "planner/plan_cache.h"
-#include "service/decision_cache.h"
 
 namespace relcont {
 namespace obs {

@@ -40,10 +40,28 @@
 namespace relcont {
 namespace obs {
 
+/// The length of the longest prefix of `s` that fits in `max_bytes` and
+/// does not end inside a UTF-8 code point: a cut that would land on a
+/// continuation byte backs off to the start of that code point, so a
+/// truncated string stays valid UTF-8. Allocation-free and
+/// async-signal-safe.
+inline size_t Utf8PrefixLength(std::string_view s, size_t max_bytes) {
+  if (s.size() <= max_bytes) return s.size();
+  size_t n = max_bytes;
+  // At most three continuation bytes follow a lead byte.
+  for (int back = 0; back < 3 && n > 0 &&
+                     (static_cast<unsigned char>(s[n]) & 0xC0) == 0x80;
+       ++back) {
+    --n;
+  }
+  return n;
+}
+
 /// One request's worth of telemetry, fixed-size and trivially copyable so
 /// it can live in the atomic-word ring and be rendered from a signal
-/// handler. String fields are truncating copies — long catalog names keep
-/// their prefix, which is enough to pivot into CATALOG?.
+/// handler. String fields are truncating copies, cut on a code point
+/// boundary — long catalog names keep their prefix, which is enough to
+/// pivot into CATALOG?.
 struct WideEvent {
   static constexpr int kMaxPhases = 4;
   static constexpr size_t kVerbChars = 12;
@@ -75,7 +93,7 @@ struct WideEvent {
   Phase phases[kMaxPhases] = {};
 
   static void CopyInto(char* dst, size_t cap, std::string_view src) {
-    size_t n = src.size() < cap - 1 ? src.size() : cap - 1;
+    size_t n = Utf8PrefixLength(src, cap - 1);
     // An empty view may carry a null data(); memcpy from null is UB even
     // for zero bytes.
     if (n > 0) std::memcpy(dst, src.data(), n);

@@ -1,5 +1,7 @@
 #include "service/catalog.h"
 
+#include "common/sharded_lru.h"
+
 namespace relcont {
 
 namespace {
@@ -46,6 +48,16 @@ Result<MaterializedCatalog> MaterializeCatalog(const CatalogSpec& spec,
   return out;
 }
 
+std::string CatalogCacheKey(const std::string& name, int64_t version,
+                            std::initializer_list<std::string_view> fields) {
+  std::string key = name + kCacheKeySeparator + 'v' + std::to_string(version);
+  for (std::string_view field : fields) {
+    key += kCacheKeySeparator;
+    key += field;
+  }
+  return key;
+}
+
 Result<int64_t> CatalogRegistry::Register(
     const std::string& name, std::string views_text,
     std::vector<std::pair<std::string, std::string>> patterns) {
@@ -72,8 +84,8 @@ Result<int64_t> CatalogRegistry::Register(
     version = spec->version;
     catalogs_[name] = std::move(spec);
   }
-  // Outside mu_: the listener may take locks of its own (the plan cache's
-  // shard mutexes), and readers must not block on it.
+  // Outside mu_: the listener may take locks of its own (the caches' shard
+  // mutexes), and readers must not block on it.
   if (listener_) listener_(name, version);
   return version;
 }

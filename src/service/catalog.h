@@ -2,15 +2,18 @@
 #define RELCONT_SERVICE_CATALOG_H_
 
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "binding/adornment.h"
 #include "common/status.h"
+#include "relcont/relative_containment.h"
 #include "rewriting/inverse_rules.h"
 #include "rewriting/views.h"
 
@@ -57,6 +60,13 @@ struct MaterializedCatalog {
 Result<MaterializedCatalog> MaterializeCatalog(const CatalogSpec& spec,
                                                Interner* interner);
 
+/// A cache key for an answer computed against catalog `name` at `version`:
+/// the name, `v<version>`, then `fields`, joined by kCacheKeySeparator.
+/// ShardedLru::InvalidateCatalog reads the name back from the leading
+/// field.
+std::string CatalogCacheKey(const std::string& name, int64_t version,
+                            std::initializer_list<std::string_view> fields);
+
 /// A thread-safe registry of named catalog snapshots. Registration
 /// validates the spec (by materializing it against a scratch interner)
 /// before publishing; lookups hand out shared immutable snapshots, so a
@@ -64,7 +74,7 @@ Result<MaterializedCatalog> MaterializeCatalog(const CatalogSpec& spec,
 class CatalogRegistry {
  public:
   /// Invoked after every successful Register with the published name and
-  /// version (the plan cache invalidates that catalog's entries this way).
+  /// version (the caches invalidate that catalog's entries this way).
   /// Must be safe to call from many registering threads concurrently.
   using RegistrationListener =
       std::function<void(const std::string& name, int64_t version)>;
@@ -97,6 +107,34 @@ class CatalogRegistry {
   /// Immutable once the registry is shared (see set_registration_listener),
   /// so Register may invoke it outside mu_.
   RegistrationListener listener_;
+};
+
+/// Per-thread working memory of the request path: the interner arena plus
+/// the catalogs materialized against it. Requests keep the catalogs and the
+/// parsed query names in the arena and roll back every symbol an uncached
+/// request mints (InternerScope). NOT thread-safe — each context must be
+/// used by one thread at a time (constructing one is cheap).
+class WorkerContext {
+ public:
+  WorkerContext();
+
+  Interner* interner() { return interner_.get(); }
+
+  /// The materialization of `name`'s current snapshot in `registry`,
+  /// built into this arena on first use and kept until the version moves.
+  /// First discards the whole arena (catalogs and parsed names included)
+  /// when its interner holds more than `max_symbols` symbols.
+  Result<const MaterializedCatalog*> Catalog(const CatalogRegistry& registry,
+                                             const std::string& name,
+                                             int64_t max_symbols);
+
+  /// Parses `text` (ParseProgram syntax) into the arena; the goal is the
+  /// head predicate of its first rule.
+  Result<GoalQuery> ParseQuery(const std::string& text);
+
+ private:
+  std::unique_ptr<Interner> interner_;
+  std::map<std::string, MaterializedCatalog> catalogs_;
 };
 
 }  // namespace relcont

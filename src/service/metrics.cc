@@ -10,6 +10,32 @@
 
 namespace relcont {
 
+namespace {
+
+/// The dominant phases of one trace: the root span and its direct
+/// children, aggregated by name, largest cumulative time first (ties break
+/// by name). The slow log and the wide event share this digest.
+std::vector<obs::PhaseSnapshot> TopPhases(const trace::TraceContext& trace) {
+  std::map<std::string, obs::PhaseSnapshot> tops;
+  for (const trace::SpanNode& s : trace.spans()) {
+    if (s.depth > 1) continue;
+    obs::PhaseSnapshot& phase = tops[s.name];
+    phase.name = s.name;
+    phase.ns += s.duration_ns();
+    phase.calls += 1;
+  }
+  std::vector<obs::PhaseSnapshot> out;
+  for (auto& [name, phase] : tops) out.push_back(std::move(phase));
+  std::sort(out.begin(), out.end(),
+            [](const obs::PhaseSnapshot& a, const obs::PhaseSnapshot& b) {
+              if (a.ns != b.ns) return a.ns > b.ns;
+              return a.name < b.name;
+            });
+  return out;
+}
+
+}  // namespace
+
 std::string_view ServiceVerbName(ServiceVerb verb) {
   switch (verb) {
     case ServiceVerb::kContained:
@@ -127,23 +153,8 @@ void ServiceMetrics::RecordTrace(Regime regime, uint64_t latency_micros,
   entry.request_id = request_id;
   entry.description = std::move(description);
   entry.trace_text = trace.ToText();
-  // Digest for /statusz: the root span and its direct children aggregated
-  // by name, largest cumulative time first (ties break by name).
-  std::map<std::string, PhaseStat> tops;
-  for (const trace::SpanNode& s : trace.spans()) {
-    if (s.depth > 1) continue;
-    PhaseStat& stat = tops[s.name];
-    stat.ns += s.duration_ns();
-    stat.calls += 1;
-  }
-  for (const auto& [name, stat] : tops) {
-    entry.top_phases.push_back({name, stat.ns, stat.calls});
-  }
-  std::sort(entry.top_phases.begin(), entry.top_phases.end(),
-            [](const obs::PhaseSnapshot& a, const obs::PhaseSnapshot& b) {
-              if (a.ns != b.ns) return a.ns > b.ns;
-              return a.name < b.name;
-            });
+  // Digest for /statusz.
+  entry.top_phases = TopPhases(trace);
   slow_log_.push_back(std::move(entry));
   // Stable: requests with equal latency keep their arrival order, so ties
   // at the cutoff are broken deterministically (earliest recorded wins).
@@ -164,27 +175,14 @@ void ServiceMetrics::RecordFlight(ServiceVerb verb, obs::WideEvent event,
           .count());
   if (trace != nullptr) {
     event.traced = 1;
-    // Same digest the slow log shows: root span + direct children,
-    // aggregated by name, largest cumulative time first.
-    std::map<std::string, uint64_t> tops;
-    for (const trace::SpanNode& s : trace->spans()) {
-      if (s.depth > 1) continue;
-      tops[s.name] += s.duration_ns();
-    }
-    std::vector<std::pair<std::string, uint64_t>> sorted(tops.begin(),
-                                                         tops.end());
-    std::sort(sorted.begin(), sorted.end(),
-              [](const auto& a, const auto& b) {
-                if (a.second != b.second) return a.second > b.second;
-                return a.first < b.first;
-              });
-    for (int i = 0;
-         i < obs::WideEvent::kMaxPhases &&
-         i < static_cast<int>(sorted.size());
+    // Same digest the slow log shows.
+    const std::vector<obs::PhaseSnapshot> tops = TopPhases(*trace);
+    for (int i = 0; i < obs::WideEvent::kMaxPhases &&
+                    i < static_cast<int>(tops.size());
          ++i) {
       obs::WideEvent::CopyInto(event.phases[i].name,
-                               obs::WideEvent::kPhaseChars, sorted[i].first);
-      event.phases[i].ns = sorted[i].second;
+                               obs::WideEvent::kPhaseChars, tops[i].name);
+      event.phases[i].ns = tops[i].ns;
     }
   }
   flight_.Record(event);

@@ -14,12 +14,11 @@
 #include <utility>
 #include <vector>
 
+#include "common/sharded_lru.h"
 #include "obs/exposition.h"
 #include "obs/flight.h"
 #include "obs/window.h"
-#include "planner/plan_cache.h"
 #include "relcont/decide.h"
-#include "service/decision_cache.h"
 #include "trace/trace.h"
 
 namespace relcont {
@@ -125,7 +124,8 @@ class ServiceMetrics {
     }
   }
 
-  /// Live gauges. Inflight tracks requests inside Service::Decide; open
+  /// Live gauges. Inflight tracks CONTAINED?, PLAN? and REWRITE? requests
+  /// inside the request envelope (service/request_envelope.h); open
   /// connections tracks sockets held by the obs server; batch queue depth
   /// tracks ExecuteBatch items not yet claimed by a worker.
   void IncInflight() { inflight_.fetch_add(1, std::memory_order_relaxed); }

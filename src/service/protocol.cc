@@ -1,6 +1,7 @@
 #include "service/protocol.h"
 
 #include <cstdlib>
+#include <initializer_list>
 #include <optional>
 #include <sstream>
 
@@ -82,6 +83,30 @@ std::string ConsumeBudgetOptions(std::vector<std::string>* tokens,
   return "";
 }
 
+/// The reply to a request the service answered with a non-OK status. It
+/// carries the request id, so a client log line correlates with the
+/// server-side retained trace (REQUESTZ <id>); protocol-level validation
+/// errors (no id was minted) stay plain.
+std::string ErrorLine(uint64_t request_id, const Status& status) {
+  return "ERR [id=" + std::to_string(request_id) + "] " + status.ToString() +
+         "\n";
+}
+
+/// Appends ` HIT|MISS <latency>us id=<id>`, then ` witness: <text>` when
+/// there is one: the tail every verdict and plan header line shares.
+template <typename Response>
+void AppendServed(const Response& response, const std::string& witness,
+                  std::string* out) {
+  *out += response.cache_hit ? " HIT " : " MISS ";
+  *out += std::to_string(response.latency_micros);
+  *out += "us id=";
+  *out += std::to_string(response.request_id);
+  if (!witness.empty()) {
+    *out += " witness: ";
+    *out += witness;
+  }
+}
+
 }  // namespace
 
 ServerSession::ServerSession(ContainmentService* service, int batch_threads)
@@ -119,16 +144,12 @@ std::string ServerSession::HandleLine(const std::string& raw_line) {
     return out.empty() ? "OK no catalogs\n" : out;
   }
   if (command == "METRICS") {
-    return obs::RenderMetricsText(
-        service_->metrics().Snapshot(service_->cache().Stats(),
-                                     service_->planner().cache().Stats()));
+    return obs::RenderMetricsText(service_->Snapshot());
   }
   if (command == "STATUSZ") {
     // The same MetricsSnapshot METRICS and /metrics render, as one JSON
     // object — so the protocol verb and GET /statusz cannot drift.
-    return obs::RenderStatuszJson(
-        service_->metrics().Snapshot(service_->cache().Stats(),
-                                     service_->planner().cache().Stats()));
+    return obs::RenderStatuszJson(service_->Snapshot());
   }
   if (command == "REQUESTZ") return HandleRequestz(rest);
   if (command == "HELP") {
@@ -228,23 +249,12 @@ std::string ServerSession::HandleDefine(const std::string& rest) {
 }
 
 std::string ServerSession::HandleContained(const std::string& rest) {
-  std::vector<std::string> tokens = Tokenize(rest);
   DecisionRequest request;
-  std::string option_error = ConsumeBudgetOptions(&tokens, &request.options);
-  if (!option_error.empty()) return option_error;
-  if (tokens.size() != 3 || tokens[2].size() < 2 || tokens[2][0] != '@') {
-    return "ERR InvalidArgument: expected CONTAINED? <q1> <q2> @<catalog> "
-           "[timeout_ms=N] [budget=N] [workers=N]\n";
-  }
-  for (int side = 0; side < 2; ++side) {
-    auto it = queries_.find(tokens[side]);
-    if (it == queries_.end()) {
-      return "ERR InvalidArgument: unknown query '" + tokens[side] +
-             "' — DEFINE it first\n";
-    }
-    (side == 0 ? request.q1_text : request.q2_text) = it->second;
-  }
-  request.catalog = tokens[2].substr(1);
+  std::string error = ParseQueryArgs(
+      rest, "CONTAINED? <q1> <q2> @<catalog>",
+      {&request.q1_text, &request.q2_text}, &request.catalog,
+      &request.options);
+  if (!error.empty()) return error;
   if (in_batch_) {
     batch_.push_back(std::move(request));
     return "QUEUED " + std::to_string(batch_.size() - 1) + "\n";
@@ -254,15 +264,28 @@ std::string ServerSession::HandleContained(const std::string& rest) {
   return RenderResponse(response);
 }
 
-const std::string* ServerSession::LookupQuery(const std::string& name,
-                                              std::string* error) const {
-  auto it = queries_.find(name);
-  if (it == queries_.end()) {
-    *error = "ERR InvalidArgument: unknown query '" + name +
-             "' — DEFINE it first\n";
-    return nullptr;
+std::string ServerSession::ParseQueryArgs(
+    const std::string& rest, const char* usage,
+    std::initializer_list<std::string*> texts, std::string* catalog,
+    DecideOptions* options) const {
+  std::vector<std::string> tokens = Tokenize(rest);
+  std::string error = ConsumeBudgetOptions(&tokens, options);
+  if (!error.empty()) return error;
+  const size_t n = texts.size();
+  if (tokens.size() != n + 1 || tokens[n].size() < 2 || tokens[n][0] != '@') {
+    return std::string("ERR InvalidArgument: expected ") + usage +
+           " [timeout_ms=N] [budget=N] [workers=N]\n";
   }
-  return &it->second;
+  for (size_t i = 0; i < n; ++i) {
+    auto query = queries_.find(tokens[i]);
+    if (query == queries_.end()) {
+      return "ERR InvalidArgument: unknown query '" + tokens[i] +
+             "' — DEFINE it first\n";
+    }
+    *texts.begin()[i] = query->second;
+  }
+  *catalog = tokens[n].substr(1);
+  return "";
 }
 
 void ServerSession::AppendTrace(const trace::TraceContext* trace, bool json,
@@ -285,27 +308,18 @@ std::string ServerSession::HandlePlan(const std::string& rest,
   if (in_batch_) {
     return "ERR InvalidArgument: PLAN? is not allowed inside a batch\n";
   }
-  std::vector<std::string> tokens = Tokenize(rest);
   PlanRequest request;
-  std::string option_error = ConsumeBudgetOptions(&tokens, &request.options);
-  if (!option_error.empty()) return option_error;
-  if (tokens.size() != 2 || tokens[1].size() < 2 || tokens[1][0] != '@') {
-    return "ERR InvalidArgument: expected PLAN? <q> @<catalog> "
-           "[timeout_ms=N] [budget=N] [workers=N]\n";
-  }
-  std::string error;
-  const std::string* query = LookupQuery(tokens[0], &error);
-  if (query == nullptr) return error;
-  request.query_text = *query;
-  request.catalog = tokens[1].substr(1);
+  std::string error =
+      ParseQueryArgs(rest, "PLAN? <q> @<catalog>", {&request.query_text},
+                     &request.catalog, &request.options);
+  if (!error.empty()) return error;
   // EXPLAIN semantics: bypass the cache so there is a construction to
   // trace.
   request.collect_trace = collect_trace;
   request.bypass_cache = collect_trace;
   PlanResponse response = service_->planner().Plan(request, &planner_ctx_);
   if (!response.status.ok()) {
-    return "ERR [id=" + std::to_string(response.request_id) + "] " +
-           response.status.ToString() + "\n";
+    return ErrorLine(response.request_id, response.status);
   }
   std::string out = "OK plan catalog=" + request.catalog + " v" +
                     std::to_string(response.catalog_version) +
@@ -314,10 +328,7 @@ std::string ServerSession::HandlePlan(const std::string& rest,
   if (!response.dom_predicate.empty()) {
     out += " dom=" + response.dom_predicate;
   }
-  out += response.cache_hit ? " HIT " : " MISS ";
-  out += std::to_string(response.latency_micros);
-  out += "us id=";
-  out += std::to_string(response.request_id);
+  AppendServed(response, "", &out);
   out += '\n';
   out += response.plan_text;
   if (collect_trace) AppendTrace(response.trace.get(), trace_json, &out);
@@ -330,38 +341,21 @@ std::string ServerSession::HandleRewrite(const std::string& rest,
   if (in_batch_) {
     return "ERR InvalidArgument: REWRITE? is not allowed inside a batch\n";
   }
-  std::vector<std::string> tokens = Tokenize(rest);
   RewriteRequest request;
-  std::string option_error = ConsumeBudgetOptions(&tokens, &request.options);
-  if (!option_error.empty()) return option_error;
-  if (tokens.size() != 3 || tokens[2].size() < 2 || tokens[2][0] != '@') {
-    return "ERR InvalidArgument: expected REWRITE? <q1> <q2> @<catalog> "
-           "[timeout_ms=N] [budget=N] [workers=N]\n";
-  }
-  std::string error;
-  for (int side = 0; side < 2; ++side) {
-    const std::string* query = LookupQuery(tokens[side], &error);
-    if (query == nullptr) return error;
-    (side == 0 ? request.q1_text : request.q2_text) = *query;
-  }
-  request.catalog = tokens[2].substr(1);
+  std::string error = ParseQueryArgs(
+      rest, "REWRITE? <q1> <q2> @<catalog>",
+      {&request.q1_text, &request.q2_text}, &request.catalog,
+      &request.options);
+  if (!error.empty()) return error;
   request.collect_trace = collect_trace;
   request.bypass_cache = collect_trace;
   RewriteResponse response =
       service_->planner().Rewrite(request, &planner_ctx_);
   if (!response.status.ok()) {
-    return "ERR [id=" + std::to_string(response.request_id) + "] " +
-           response.status.ToString() + "\n";
+    return ErrorLine(response.request_id, response.status);
   }
   std::string out = response.contained ? "YES plan" : "NO plan";
-  out += response.cache_hit ? " HIT " : " MISS ";
-  out += std::to_string(response.latency_micros);
-  out += "us id=";
-  out += std::to_string(response.request_id);
-  if (!response.witness_text.empty()) {
-    out += " witness: ";
-    out += response.witness_text;
-  }
+  AppendServed(response, response.witness_text, &out);
   out += '\n';
   if (collect_trace) AppendTrace(response.trace.get(), trace_json, &out);
   return out;
@@ -449,21 +443,11 @@ std::string ServerSession::HandleExplain(const std::string& rest) {
                          /*collect_trace=*/true, json);
   }
   DecisionRequest request;
-  std::string option_error = ConsumeBudgetOptions(&tokens, &request.options);
-  if (!option_error.empty()) return option_error;
-  if (tokens.size() != 3 || tokens[2].size() < 2 || tokens[2][0] != '@') {
-    return "ERR InvalidArgument: expected EXPLAIN [JSON] <q1> <q2> "
-           "@<catalog> [timeout_ms=N] [budget=N] [workers=N]\n";
-  }
-  for (int side = 0; side < 2; ++side) {
-    auto it = queries_.find(tokens[side]);
-    if (it == queries_.end()) {
-      return "ERR InvalidArgument: unknown query '" + tokens[side] +
-             "' — DEFINE it first\n";
-    }
-    (side == 0 ? request.q1_text : request.q2_text) = it->second;
-  }
-  request.catalog = tokens[2].substr(1);
+  std::string error = ParseQueryArgs(
+      JoinFrom(tokens, 0, tokens.size()), "EXPLAIN [JSON] <q1> <q2> @<catalog>",
+      {&request.q1_text, &request.q2_text}, &request.catalog,
+      &request.options);
+  if (!error.empty()) return error;
   // Bypass the cache so there is an actual decision to trace — a cache hit
   // would explain nothing.
   request.bypass_cache = true;
@@ -471,17 +455,7 @@ std::string ServerSession::HandleExplain(const std::string& rest) {
   DecisionResponse response = service_->Decide(request, &ctx_);
   Observe(request, response);
   std::string out = RenderResponse(response);
-  if (!response.status.ok() || response.trace == nullptr) return out;
-  if (response.trace->spans().empty() && !trace::kCompiledIn) {
-    out += "(trace hooks compiled out: rebuild with -DRELCONT_TRACE=ON)\n";
-    return out;
-  }
-  if (json) {
-    out += response.trace->ToChromeJson();
-    out += '\n';
-  } else {
-    out += response.trace->ToText();
-  }
+  if (response.status.ok()) AppendTrace(response.trace.get(), json, &out);
   return out;
 }
 
@@ -512,22 +486,11 @@ std::string ServerSession::HandleBatch(const std::string& rest) {
 std::string ServerSession::RenderResponse(
     const DecisionResponse& response) const {
   if (!response.status.ok()) {
-    // Service-originated errors carry the request id so a client log line
-    // correlates with the server-side retained trace (REQUESTZ <id>).
-    // Protocol-level validation errors (no id was minted) stay plain.
-    return "ERR [id=" + std::to_string(response.request_id) + "] " +
-           response.status.ToString() + "\n";
+    return ErrorLine(response.request_id, response.status);
   }
   std::string out = response.contained ? "YES " : "NO ";
   out += RegimeName(response.regime);
-  out += response.cache_hit ? " HIT " : " MISS ";
-  out += std::to_string(response.latency_micros);
-  out += "us id=";
-  out += std::to_string(response.request_id);
-  if (!response.witness_text.empty()) {
-    out += " witness: ";
-    out += response.witness_text;
-  }
+  AppendServed(response, response.witness_text, &out);
   out += '\n';
   return out;
 }

@@ -2,6 +2,7 @@
 #define RELCONT_SERVICE_PROTOCOL_H_
 
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <vector>
@@ -35,7 +36,7 @@ using DecisionObserver =
 /// answers like CONTAINED? on its first line, then the decision's span
 /// tree (indented text, or one line of Chrome trace_event JSON with the
 /// JSON flag — see docs/OBSERVABILITY.md). The session
-/// owns a WorkerContext; the ContainmentService it fronts is shared, so
+/// owns its WorkerContexts; the ContainmentService it fronts is shared, so
 /// many sessions (e.g. one per connection) can run concurrently.
 ///
 /// Not thread-safe — one session per thread, like WorkerContext.
@@ -72,18 +73,25 @@ class ServerSession {
   std::string HandleExplain(const std::string& rest);
   std::string HandleBatch(const std::string& rest);
   std::string RenderResponse(const DecisionResponse& response) const;
-  /// Looks up a DEFINE'd query name; returns "" and fills *error on miss.
-  const std::string* LookupQuery(const std::string& name,
-                                 std::string* error) const;
+  /// Parses `<q>... @<catalog> [options]` — one DEFINE'd name per entry of
+  /// `texts`, whose query text it receives — into the request fields.
+  /// Returns the "ERR ..." reply line (naming `usage`) or "" on success.
+  std::string ParseQueryArgs(const std::string& rest, const char* usage,
+                             std::initializer_list<std::string*> texts,
+                             std::string* catalog,
+                             DecideOptions* options) const;
   /// Appends the rendered span tree (or a compiled-out notice) to *out.
   static void AppendTrace(const trace::TraceContext* trace, bool json,
                           std::string* out);
 
   ContainmentService* service_;
+  /// Two arenas of the one type: decisions run in ctx_ (which also holds
+  /// the DEFINE'd names), plans and rewrites in planner_ctx_. A shared
+  /// arena would interleave the two verbs' Fresh counters, renumbering the
+  /// `_R<n>` variables and `dom<n>` predicates in the replies of a mixed
+  /// session.
   WorkerContext ctx_;
-  /// The planner's arena, retired independently of ctx_ (plan construction
-  /// mints far more symbols per request than a containment decision).
-  PlannerContext planner_ctx_;
+  WorkerContext planner_ctx_;
   int batch_threads_;
   DecisionObserver observer_;
   /// Named query texts declared with DEFINE.

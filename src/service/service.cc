@@ -1,7 +1,6 @@
 #include "service/service.h"
 
 #include <atomic>
-#include <chrono>
 #include <optional>
 #include <thread>
 
@@ -11,11 +10,36 @@
 
 namespace relcont {
 
-namespace {
+// WorkerContext is declared beside MaterializedCatalog (service/catalog.h)
+// but defined here, so that its MaterializeCatalog call crosses an object
+// file: perfbench links with --wrap of that symbol to count catalog
+// materializations.
+WorkerContext::WorkerContext() : interner_(std::make_unique<Interner>()) {}
 
-Result<GoalQuery> ParseGoalQuery(const std::string& text,
-                                 Interner* interner) {
-  RELCONT_ASSIGN_OR_RETURN(Program program, ParseProgram(text, interner));
+Result<const MaterializedCatalog*> WorkerContext::Catalog(
+    const CatalogRegistry& registry, const std::string& name,
+    int64_t max_symbols) {
+  if (interner_->size() > max_symbols) {
+    catalogs_.clear();
+    interner_ = std::make_unique<Interner>();
+  }
+  std::shared_ptr<const CatalogSpec> spec = registry.Find(name);
+  if (spec == nullptr) {
+    return Status::InvalidArgument("unknown catalog '" + name + "'");
+  }
+  auto it = catalogs_.find(name);
+  if (it != catalogs_.end() && it->second.version == spec->version) {
+    return &it->second;
+  }
+  RELCONT_ASSIGN_OR_RETURN(MaterializedCatalog materialized,
+                           MaterializeCatalog(*spec, interner_.get()));
+  return &catalogs_.insert_or_assign(name, std::move(materialized))
+              .first->second;
+}
+
+Result<GoalQuery> WorkerContext::ParseQuery(const std::string& text) {
+  RELCONT_ASSIGN_OR_RETURN(Program program,
+                           ParseProgram(text, interner_.get()));
   if (program.rules.empty()) {
     return Status::InvalidArgument("query text contains no rules");
   }
@@ -23,8 +47,11 @@ Result<GoalQuery> ParseGoalQuery(const std::string& text,
   return GoalQuery{std::move(program), goal};
 }
 
+namespace {
+
 /// Every option that can change a decision must appear in the key, or the
-/// cache would serve a decision computed under different bounds.
+/// cache would serve a decision computed under different bounds: the
+/// plan-shaping options plus the containment check's own.
 ///
 /// The budget fields (timeout_ms, max_steps, parallel_workers) are
 /// deliberately absent: a budget can only turn a decision into a non-OK
@@ -34,17 +61,7 @@ Result<GoalQuery> ParseGoalQuery(const std::string& text,
 std::string OptionsFingerprint(const DecideOptions& o) {
   std::string out = std::to_string(o.max_rule_applications);
   out += ',';
-  out += std::to_string(o.unfold.max_disjuncts);
-  out += ',';
-  out += std::to_string(o.dom.max_tree_options);
-  out += ',';
-  out += std::to_string(o.dom.max_rounds);
-  out += ',';
-  out += std::to_string(o.dom.max_core_checks);
-  out += ',';
-  out += std::to_string(o.dom.max_disjunct_size);
-  out += ',';
-  out += std::to_string(o.dom.unfold.max_disjuncts);
+  out += PlanOptionsFingerprint(o);
   out += ',';
   // The strategy never changes a verdict (cegar ≡ scan by construction),
   // but the reported witness may differ, so cached answers are kept
@@ -58,154 +75,67 @@ std::string MakeCacheKey(const GoalQuery& q1, const GoalQuery& q2,
                          int64_t catalog_version,
                          const DecideOptions& options,
                          const Interner& interner) {
-  std::string key = catalog_name;
-  key += ":v";
-  key += std::to_string(catalog_version);
-  key += '\x1f';
-  key += CanonicalProgramFingerprint(q1.program, q1.goal, interner);
-  key += '\x1f';
-  key += CanonicalProgramFingerprint(q2.program, q2.goal, interner);
-  key += '\x1f';
-  key += OptionsFingerprint(options);
-  return key;
-}
-
-/// One newline-free line identifying a request in the slow log.
-std::string DescribeRequest(const DecisionRequest& request) {
-  std::string out = request.q1_text + " => " + request.q2_text + " @" +
-                    request.catalog;
-  for (char& c : out) {
-    if (c == '\n' || c == '\r') c = ' ';
-  }
-  constexpr size_t kMaxLength = 160;
-  if (out.size() > kMaxLength) {
-    out.resize(kMaxLength - 3);
-    out += "...";
-  }
-  return out;
-}
-
-}  // namespace
-
-WorkerContext::WorkerContext() : interner_(std::make_unique<Interner>()) {}
-
-void WorkerContext::Reset() {
-  catalogs_.clear();
-  interner_ = std::make_unique<Interner>();
-}
-
-namespace {
-
-PlannerConfig PlannerConfigFrom(const ServiceConfig& config) {
-  PlannerConfig out;
-  out.cache_capacity = config.plan_cache_capacity;
-  out.cache_shards = config.plan_cache_shards;
-  out.max_worker_symbols = config.max_worker_symbols;
-  out.trace_requests = config.trace_requests;
-  out.default_timeout_ms = config.default_timeout_ms;
-  out.default_parallel_workers = config.default_parallel_workers;
-  return out;
+  return CatalogCacheKey(
+      catalog_name, catalog_version,
+      {CanonicalProgramFingerprint(q1.program, q1.goal, interner),
+       CanonicalProgramFingerprint(q2.program, q2.goal, interner),
+       OptionsFingerprint(options)});
 }
 
 }  // namespace
 
 ContainmentService::ContainmentService(ServiceConfig config)
     : config_(config),
-      cache_(config.cache_capacity, config.cache_shards),
-      planner_(&catalogs_, &metrics_, PlannerConfigFrom(config)) {
+      cache_(config.cache_capacity, kCacheShards),
+      planner_(&catalogs_, &metrics_, config) {
   metrics_.set_slow_log_capacity(config.slow_log_capacity);
   metrics_.set_window_secs(config.window_secs);
   metrics_.flight().Configure({config.flight_ring_capacity,
                                config.flight_arena_kb * 1024,
                                config.flight_head_sample});
-  // Re-registering a catalog bumps its version, which already rotates plan
-  // cache keys; the listener additionally reclaims the dead entries so a
-  // churning catalog cannot crowd out live plans.
+  // Re-registering a catalog bumps its version, which already rotates every
+  // cache key; the listener additionally reclaims the dead entries so a
+  // churning catalog cannot crowd out live decisions and plans.
   catalogs_.set_registration_listener(
-      [this](const std::string& name, int64_t version) {
-        (void)version;
+      [this](const std::string& name, int64_t /*version*/) {
+        cache_.InvalidateCatalog(name);
         planner_.cache().InvalidateCatalog(name);
       });
 }
 
-Result<const MaterializedCatalog*> ContainmentService::CatalogFor(
-    const std::string& name, WorkerContext* ctx) {
-  std::shared_ptr<const CatalogSpec> spec = catalogs_.Find(name);
-  if (spec == nullptr) {
-    return Status::InvalidArgument("unknown catalog '" + name + "'");
-  }
-  auto it = ctx->catalogs_.find(name);
-  if (it != ctx->catalogs_.end() && it->second.version == spec->version) {
-    return &it->second;
-  }
-  RELCONT_ASSIGN_OR_RETURN(MaterializedCatalog materialized,
-                           MaterializeCatalog(*spec, ctx->interner()));
-  auto [pos, inserted] =
-      ctx->catalogs_.insert_or_assign(name, std::move(materialized));
-  (void)inserted;
-  return &pos->second;
-}
-
 Result<std::string> ContainmentService::CacheKey(
     const DecisionRequest& request, WorkerContext* ctx) {
-  RELCONT_ASSIGN_OR_RETURN(const MaterializedCatalog* catalog,
-                           CatalogFor(request.catalog, ctx));
-  RELCONT_ASSIGN_OR_RETURN(GoalQuery q1,
-                           ParseGoalQuery(request.q1_text, ctx->interner()));
-  RELCONT_ASSIGN_OR_RETURN(GoalQuery q2,
-                           ParseGoalQuery(request.q2_text, ctx->interner()));
+  RELCONT_ASSIGN_OR_RETURN(
+      const MaterializedCatalog* catalog,
+      ctx->Catalog(catalogs_, request.catalog, config_.max_worker_symbols));
+  RELCONT_ASSIGN_OR_RETURN(GoalQuery q1, ctx->ParseQuery(request.q1_text));
+  RELCONT_ASSIGN_OR_RETURN(GoalQuery q2, ctx->ParseQuery(request.q2_text));
   return MakeCacheKey(q1, q2, request.catalog, catalog->version,
                       request.options, *ctx->interner());
 }
 
 DecisionResponse ContainmentService::Decide(const DecisionRequest& request,
                                             WorkerContext* ctx) {
-  auto start = std::chrono::steady_clock::now();
-  metrics_.IncInflight();
+  const int workers = request.options.parallel_workers > 1
+                          ? request.options.parallel_workers
+                          : config_.default_parallel_workers;
+  const RequestFacts facts{.verb = ServiceVerb::kContained,
+                           .worker_count = static_cast<uint32_t>(workers),
+                           .q1 = request.q1_text,
+                           .q2 = request.q2_text};
   DecisionResponse out;
-  out.request_id = metrics_.flight().NextRequestId();
-  // The service owns the one budget governing this request; the library
-  // sees it via the installed BudgetScope and skips its own (decide.cc).
-  // Request options take precedence over the config defaults.
-  WorkBudget budget;
-  int64_t timeout_ms = request.options.timeout_ms > 0
-                           ? request.options.timeout_ms
-                           : config_.default_timeout_ms;
-  if (timeout_ms > 0) {
-    budget.set_timeout(std::chrono::milliseconds(timeout_ms));
-  }
-  if (request.options.max_steps > 0) {
-    budget.set_max_steps(request.options.max_steps);
-  }
-  std::shared_ptr<trace::TraceContext> trace_ctx;
-  std::optional<trace::TraceScope> trace_scope;
-  if (request.collect_trace || config_.trace_requests) {
-    trace_ctx = std::make_shared<trace::TraceContext>();
-    trace_ctx->set_request_id(out.request_id);
-    // Installed for this thread only; concurrent workers each install
-    // their own context, so traces never interleave.
-    trace_scope.emplace(trace_ctx.get());
-  }
-  // The body below returns early through this lambda so the latency and
-  // metrics accounting runs on every path, including errors.
-  out.status = [&]() -> Status {
-    if (ctx->interner()->size() > config_.max_worker_symbols) {
-      ctx->Reset();
-    }
-    RELCONT_ASSIGN_OR_RETURN(const MaterializedCatalog* catalog,
-                             CatalogFor(request.catalog, ctx));
-    out.catalog_version = catalog->version;
-    RELCONT_ASSIGN_OR_RETURN(
-        GoalQuery q1, ParseGoalQuery(request.q1_text, ctx->interner()));
-    RELCONT_ASSIGN_OR_RETURN(
-        GoalQuery q2, ParseGoalQuery(request.q2_text, ctx->interner()));
+  ServeRequest(metrics_, config_, catalogs_, ctx, request, facts, &out,
+               [&](const MaterializedCatalog& catalog, WorkBudget& budget,
+                   Regime& regime) -> Status {
+    RELCONT_ASSIGN_OR_RETURN(GoalQuery q1, ctx->ParseQuery(request.q1_text));
+    RELCONT_ASSIGN_OR_RETURN(GoalQuery q2, ctx->ParseQuery(request.q2_text));
     std::string key;
     if (!request.bypass_cache) {
-      key = MakeCacheKey(q1, q2, request.catalog, catalog->version,
+      key = MakeCacheKey(q1, q2, request.catalog, catalog.version,
                          request.options, *ctx->interner());
       if (std::optional<CachedDecision> cached = cache_.Lookup(key)) {
         out.contained = cached->contained;
-        out.regime = cached->regime;
+        regime = out.regime = cached->regime;
         out.witness_text = std::move(cached->witness_text);
         out.cache_hit = true;
         return Status::OK();
@@ -217,17 +147,15 @@ DecisionResponse ContainmentService::Decide(const DecisionRequest& request,
     // the catalogs and parsed queries on every exit path.
     InternerScope request_symbols(ctx->interner());
     DecideOptions options = request.options;
-    if (options.parallel_workers <= 1) {
-      options.parallel_workers = config_.default_parallel_workers;
-    }
+    options.parallel_workers = workers;
     BudgetScope budget_scope(&budget);
     RELCONT_ASSIGN_OR_RETURN(
         Decision decision,
         DecideRelativeContainment(
-            q1, q2, catalog->views, catalog->patterns, ctx->interner(),
-            options, catalog->patterns.empty() ? &catalog->inverse : nullptr));
+            q1, q2, catalog.views, catalog.patterns, ctx->interner(),
+            options, catalog.patterns.empty() ? &catalog.inverse : nullptr));
     out.contained = decision.contained;
-    out.regime = decision.regime;
+    regime = out.regime = decision.regime;
     if (decision.witness.has_value()) {
       out.witness_text = decision.witness->ToString(*ctx->interner());
     }
@@ -236,38 +164,7 @@ DecisionResponse ContainmentService::Decide(const DecisionRequest& request,
                                         out.witness_text});
     }
     return Status::OK();
-  }();
-  trace_scope.reset();
-  out.latency_micros = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
-  metrics_.DecInflight();
-  metrics_.RecordRequest(out.regime, out.latency_micros, !out.status.ok(),
-                         out.cache_hit);
-  metrics_.RecordBudget(budget.tasks_spawned(), budget.tasks_completed(),
-                        budget.reason() == BudgetReason::kDeadline);
-  if (trace_ctx != nullptr) {
-    metrics_.RecordTrace(out.regime, out.latency_micros, *trace_ctx,
-                         DescribeRequest(request), out.request_id);
-  }
-  obs::WideEvent event;
-  event.request_id = out.request_id;
-  event.latency_micros = out.latency_micros;
-  event.catalog_version = out.catalog_version;
-  event.worker_count = static_cast<uint32_t>(
-      request.options.parallel_workers > 1
-          ? request.options.parallel_workers
-          : config_.default_parallel_workers);
-  event.error = out.status.ok() ? 0 : 1;
-  event.cache_hit = out.cache_hit ? 1 : 0;
-  event.bound = out.status.code() == StatusCode::kBoundReached ? 1 : 0;
-  event.set_verb("contained");
-  event.set_regime(RegimeName(out.regime));
-  event.set_catalog(request.catalog);
-  event.set_bound_site(BoundSiteFromStatus(out.status));
-  metrics_.RecordFlight(ServiceVerb::kContained, event, trace_ctx.get());
-  if (trace_ctx != nullptr) out.trace = std::move(trace_ctx);
+  });
   return out;
 }
 
@@ -277,14 +174,6 @@ std::vector<DecisionResponse> ContainmentService::ExecuteBatch(
   // Every batch item counts as queued until a worker claims it, so the
   // batch_queue_depth gauge exposes backlog while a batch is in flight.
   metrics_.AddBatchQueueDepth(static_cast<int64_t>(requests.size()));
-  if (num_threads <= 1 || requests.size() <= 1) {
-    WorkerContext ctx;
-    for (size_t i = 0; i < requests.size(); ++i) {
-      metrics_.AddBatchQueueDepth(-1);
-      out[i] = Decide(requests[i], &ctx);
-    }
-    return out;
-  }
   std::atomic<size_t> next{0};
   auto work = [&]() {
     WorkerContext ctx;
@@ -295,6 +184,10 @@ std::vector<DecisionResponse> ContainmentService::ExecuteBatch(
       out[i] = Decide(requests[i], &ctx);
     }
   };
+  if (num_threads <= 1 || requests.size() <= 1) {
+    work();
+    return out;
+  }
   std::vector<std::thread> threads;
   threads.reserve(num_threads);
   for (int t = 0; t < num_threads; ++t) threads.emplace_back(work);

@@ -2,16 +2,17 @@
 #define RELCONT_SERVICE_SERVICE_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/sharded_lru.h"
 #include "planner/planner.h"
 #include "relcont/decide.h"
 #include "service/catalog.h"
-#include "service/decision_cache.h"
+#include "service/config.h"
 #include "service/metrics.h"
+#include "service/request_envelope.h"
 #include "trace/trace.h"
 
 namespace relcont {
@@ -25,116 +26,38 @@ namespace relcont {
 /// (Q1, Q2, catalog, options), but the library's decision procedures
 /// allocate fresh symbols through a non-thread-safe Interner. The service
 /// therefore confines every Interner-carrying structure to a WorkerContext
-/// owned by exactly one thread at a time; the only shared state is the
-/// catalog registry (mutex), the decision cache (sharded mutexes, values
-/// are interner-independent text), and the metrics (atomics).
+/// (service/catalog.h) owned by exactly one thread at a time; the only
+/// shared state is the catalog registry (mutex), the decision and plan
+/// caches (sharded mutexes, values are interner-independent text), and the
+/// metrics (atomics).
 
-/// The deadline, in milliseconds, of a request that sets no timeout_ms of
-/// its own. Finite, so no client request runs without bound.
-inline constexpr int64_t kDefaultTimeoutMs = 30000;
-
-struct ServiceConfig {
-  /// Total decision-cache capacity in entries.
-  size_t cache_capacity = 4096;
-  size_t cache_shards = 8;
-  /// A worker arena is discarded and rebuilt once its interner holds more
-  /// than this many symbols. The symbols an uncached decision mints are
-  /// rolled back when it ends, so this caps only what an arena keeps:
-  /// materialized catalogs and the names of parsed queries.
-  int64_t max_worker_symbols = 1 << 20;
-  /// When true every request is traced (as if collect_trace were set) and
-  /// folded into the metrics aggregates. Off by default: tracing allocates
-  /// and is not free, unlike the dormant instrumentation hooks.
-  bool trace_requests = false;
-  /// How many worst-latency traces METRICS retains (0 disables the log).
-  size_t slow_log_capacity = 4;
-  /// Deadline applied to requests that do not set their own timeout_ms
-  /// (0 = no default deadline). A request past its deadline answers
-  /// kBoundReached — a bound, not an error.
-  int64_t default_timeout_ms = kDefaultTimeoutMs;
-  /// Worker-thread count for the parallel per-disjunct scan, applied to
-  /// requests that do not set their own parallel_workers. 1 = serial.
-  int default_parallel_workers = 1;
-  /// Total plan-cache capacity in entries (the planner's cache is separate
-  /// from the decision cache: plans are large values with a different
-  /// working set).
-  size_t plan_cache_capacity = 4096;
-  size_t plan_cache_shards = 8;
-  /// Long trailing window for the sliding-window latency percentiles, in
-  /// seconds (the short window is fixed at 10 s). Clamped to the window
-  /// ring size (obs::WindowRing::kMaxWindowSecs).
-  int window_secs = 60;
-  /// Flight-recorder sizing (src/obs/flight.h): wide-event ring slots
-  /// (rounded up to a power of two), retention-arena byte cap, and the
-  /// head-sampling period (every Nth request retained even when healthy;
-  /// 0 disables head sampling).
-  size_t flight_ring_capacity = 1024;
-  size_t flight_arena_kb = 512;
-  uint64_t flight_head_sample = 64;
+/// A containment decision in interner-independent form, so one cache can
+/// serve every worker arena: the witness travels as rendered text rather
+/// than as a Rule full of thread-local SymbolIds.
+struct CachedDecision {
+  bool contained = false;
+  Regime regime = Regime::kUnknown;
+  /// Rendered witness ("" when the decision has none).
+  std::string witness_text;
 };
+
+/// Decisions keyed by CatalogCacheKey over the canonical fingerprints of
+/// Q1 and Q2, then the options fingerprint.
+using DecisionCache = ShardedLru<CachedDecision>;
 
 /// One containment question. The query texts use the ParseProgram syntax
 /// (multi-rule text forms a UCQ or recursive program); the goal is the
 /// head predicate of the first rule.
-struct DecisionRequest {
+struct DecisionRequest : ServedRequest {
   std::string q1_text;
   std::string q2_text;
-  /// Name of a catalog previously registered with the service.
-  std::string catalog;
-  DecideOptions options;
-  /// When true the cache is neither consulted nor filled (used by the
-  /// benchmarks to measure cold decision cost, and available to clients
-  /// that need a from-scratch re-derivation).
-  bool bypass_cache = false;
-  /// When true the decision runs under a TraceContext and the response
-  /// carries the recorded span tree (EXPLAIN sets this, together with
-  /// bypass_cache so there is an actual decision to trace).
-  bool collect_trace = false;
 };
 
-struct DecisionResponse {
-  /// Non-OK on parse errors, unknown catalogs, or undecidable fragments;
-  /// the decision fields are meaningful only when ok.
-  Status status;
+struct DecisionResponse : ServedResponse {
   bool contained = false;
   Regime regime = Regime::kUnknown;
   /// Rendered witness ("" when none — see Decision::witness).
   std::string witness_text;
-  bool cache_hit = false;
-  uint64_t latency_micros = 0;
-  /// The flight-recorder request id minted for this request; echoed on
-  /// protocol response lines (`id=N` / `ERR [id=N]`) and the key into
-  /// /requestz?id=N when the request was retained.
-  uint64_t request_id = 0;
-  /// Version of the catalog the decision ran against (0 when the request
-  /// failed before catalog resolution). Lets the access log attribute a
-  /// decision to the exact catalog snapshot it saw.
-  int64_t catalog_version = 0;
-  /// The decision's span tree, present iff tracing was requested for this
-  /// request (empty spans when the hooks are compiled out). Shared so
-  /// responses stay cheap to copy.
-  std::shared_ptr<const trace::TraceContext> trace;
-};
-
-/// Per-thread working memory: the interner arena plus the catalogs
-/// materialized against it. Decide() keeps the catalogs and parsed query
-/// names in the arena and rolls back every symbol an uncached decision
-/// mints (InternerScope). NOT thread-safe — each context must be used by
-/// one thread at a time (constructing one is cheap).
-class WorkerContext {
- public:
-  WorkerContext();
-
-  Interner* interner() { return interner_.get(); }
-
- private:
-  friend class ContainmentService;
-
-  /// Drops the arena and every structure built against it.
-  void Reset();
-
-  std::unique_ptr<Interner> interner_;
-  std::map<std::string, MaterializedCatalog> catalogs_;
 };
 
 class ContainmentService {
@@ -146,6 +69,12 @@ class ContainmentService {
   ServiceMetrics& metrics() { return metrics_; }
   Planner& planner() { return planner_; }
   const ServiceConfig& config() const { return config_; }
+
+  /// The metrics plus both caches' counters: what METRICS, STATUSZ,
+  /// /metrics, /statusz and /buildz render.
+  obs::MetricsSnapshot Snapshot() {
+    return metrics_.Snapshot(cache_.Stats(), planner_.cache().Stats());
+  }
 
   /// Answers one request using the caller-owned worker context. Safe to
   /// call from many threads as long as each uses its own context.
@@ -163,10 +92,6 @@ class ContainmentService {
                                WorkerContext* ctx);
 
  private:
-  /// Materializes `request.catalog` into `ctx` (cached by version).
-  Result<const MaterializedCatalog*> CatalogFor(const std::string& name,
-                                                WorkerContext* ctx);
-
   ServiceConfig config_;
   CatalogRegistry catalogs_;
   DecisionCache cache_;

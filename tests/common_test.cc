@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/interner.h"
 #include "common/rational.h"
+#include "common/sharded_lru.h"
 #include "common/status.h"
 
 namespace relcont {
@@ -175,6 +178,137 @@ TEST(RationalTest, ToStringForms) {
   EXPECT_EQ(Rational(7).ToString(), "7");
   EXPECT_EQ(Rational(1, 2).ToString(), "1/2");
   EXPECT_EQ(Rational(-3, 2).ToString(), "-3/2");
+}
+
+// --- sharded LRU (the decision and plan caches) ------------------------------
+
+struct Value {
+  bool flag = false;
+  std::string text;
+};
+
+/// A key whose leading field names `catalog`, as the services build them.
+std::string Key(const std::string& catalog, const std::string& rest) {
+  return catalog + kCacheKeySeparator + "v1" + kCacheKeySeparator + rest;
+}
+
+TEST(ShardedLruTest, LookupInsertAndStats) {
+  ShardedLru<Value> cache(8, 2);
+  EXPECT_FALSE(cache.Lookup("k1").has_value());
+  cache.Insert("k1", Value{true, "w"});
+  auto hit = cache.Lookup("k1");
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_TRUE(hit->flag);
+  EXPECT_EQ(hit->text, "w");
+  ShardedLruStats stats = cache.Stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.invalidated, 0u);
+}
+
+TEST(ShardedLruTest, LruEvictionOrder) {
+  // One shard so recency order is global and deterministic.
+  ShardedLru<Value> cache(3, 1);
+  cache.Insert("a", Value{true, ""});
+  cache.Insert("b", Value{true, ""});
+  cache.Insert("c", Value{true, ""});
+  // Refresh "a": now "b" is the least recently used entry.
+  EXPECT_TRUE(cache.Lookup("a").has_value());
+  cache.Insert("d", Value{false, ""});
+  EXPECT_TRUE(cache.Lookup("a").has_value());
+  EXPECT_FALSE(cache.Lookup("b").has_value());
+  EXPECT_TRUE(cache.Lookup("c").has_value());
+  EXPECT_TRUE(cache.Lookup("d").has_value());
+  ShardedLruStats stats = cache.Stats();
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.entries, 3u);
+}
+
+TEST(ShardedLruTest, InsertRefreshesExistingEntry) {
+  ShardedLru<Value> cache(2, 1);
+  cache.Insert("a", Value{false, "old"});
+  cache.Insert("b", Value{false, "b"});
+  // Re-inserting "a" replaces its value and makes it most recent, so "b"
+  // is the victim when "c" arrives.
+  cache.Insert("a", Value{false, "new"});
+  EXPECT_EQ(cache.Stats().entries, 2u);
+  cache.Insert("c", Value{false, "c"});
+  auto hit = cache.Lookup("a");
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->text, "new");
+  EXPECT_FALSE(cache.Lookup("b").has_value());
+  EXPECT_EQ(cache.Stats().evictions, 1u);
+}
+
+TEST(ShardedLruTest, ClearDropsEntriesKeepsCounters) {
+  ShardedLru<Value> cache(4, 1);
+  cache.Insert("a", Value{true, ""});
+  EXPECT_TRUE(cache.Lookup("a").has_value());
+  cache.Clear();
+  EXPECT_FALSE(cache.Lookup("a").has_value());
+  ShardedLruStats stats = cache.Stats();
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+}
+
+TEST(ShardedLruTest, CapacitySplitsAcrossShards) {
+  ShardedLru<Value> cache(10, 4);
+  EXPECT_EQ(cache.capacity(), 12u);  // each of the 4 shards rounds up to 3
+  ShardedLru<Value> tiny(0, 0);  // at least one shard of one entry
+  EXPECT_EQ(tiny.capacity(), 1u);
+}
+
+TEST(ShardedLruTest, InvalidateCatalogEvictsOnlyThatCatalog) {
+  ShardedLru<Value> cache(/*capacity=*/64, /*num_shards=*/4);
+  for (int i = 0; i < 8; ++i) {
+    cache.Insert(Key("left", std::to_string(i)), Value{true, "l"});
+    cache.Insert(Key("right", std::to_string(i)), Value{true, "r"});
+    // A name that extends "left" is a different catalog.
+    cache.Insert(Key("leftover", std::to_string(i)), Value{true, "o"});
+  }
+  // Accumulate some hits so we can assert the counters survive.
+  EXPECT_TRUE(cache.Lookup(Key("left", "0")).has_value());
+  EXPECT_TRUE(cache.Lookup(Key("right", "0")).has_value());
+  ShardedLruStats before = cache.Stats();
+
+  cache.InvalidateCatalog("left");
+
+  ShardedLruStats after = cache.Stats();
+  EXPECT_EQ(after.invalidated, 8u);
+  EXPECT_EQ(after.entries, 16u);
+  EXPECT_EQ(after.evictions, 0u);
+  // Hit/miss counters are untouched by invalidation.
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_FALSE(cache.Lookup(Key("left", std::to_string(i))).has_value());
+    EXPECT_TRUE(cache.Lookup(Key("right", std::to_string(i))).has_value());
+    EXPECT_TRUE(cache.Lookup(Key("leftover", std::to_string(i))).has_value());
+  }
+  // Invalidated slots are free again: refilling evicts nothing.
+  for (int i = 0; i < 8; ++i) {
+    cache.Insert(Key("left", std::to_string(i)), Value{true, "l2"});
+  }
+  EXPECT_EQ(cache.Stats().evictions, 0u);
+}
+
+TEST(ShardedLruTest, SeparatorInCatalogNameOnlyOverInvalidates) {
+  ShardedLru<Value> cache(16, 1);
+  const std::string odd = std::string("a") + kCacheKeySeparator + "b";
+  cache.Insert(Key("a", "x"), Value{});
+  cache.Insert(Key(odd, "x"), Value{});
+  // The odd catalog's own invalidation reclaims its entry and spares "a".
+  cache.InvalidateCatalog(odd);
+  EXPECT_FALSE(cache.Lookup(Key(odd, "x")).has_value());
+  EXPECT_TRUE(cache.Lookup(Key("a", "x")).has_value());
+  // Invalidating "a" may also take entries of names that begin with
+  // "a" + separator: more than its own, never fewer.
+  cache.Insert(Key(odd, "x"), Value{});
+  cache.InvalidateCatalog("a");
+  EXPECT_EQ(cache.Stats().entries, 0u);
 }
 
 }  // namespace

@@ -226,6 +226,51 @@ TEST(FlightJsonTest, EmptyFieldsRecordAndRenderAsEmptyStrings) {
   EXPECT_EQ(parsed->Find("catalog")->string_value, "");
 }
 
+/// Whether `s` is well-formed UTF-8 (no truncated or stray sequences).
+bool IsValidUtf8(std::string_view s) {
+  size_t i = 0;
+  while (i < s.size()) {
+    const unsigned char lead = static_cast<unsigned char>(s[i]);
+    const size_t len = lead < 0x80 ? 1 : (lead >> 5) == 0x6 ? 2
+                                     : (lead >> 4) == 0xE ? 3
+                                     : (lead >> 3) == 0x1E ? 4 : 0;
+    if (len == 0 || i + len > s.size()) return false;
+    for (size_t k = 1; k < len; ++k) {
+      if ((static_cast<unsigned char>(s[i + k]) & 0xC0) != 0x80) return false;
+    }
+    i += len;
+  }
+  return true;
+}
+
+// A string field cut at its byte capacity must not split a code point:
+// a catalog of 20 two-byte characters used to render as 15 of them plus a
+// dangling lead byte, which no JSON reader accepts.
+TEST(FlightJsonTest, TruncatedFieldsStayValidUtf8) {
+  std::string two_byte;
+  for (int i = 0; i < 20; ++i) two_byte += "\xc3\xa9";  // é
+  WideEvent event;
+  event.request_id = 1;
+  event.set_catalog(two_byte);
+  EXPECT_EQ(std::string(event.catalog), two_byte.substr(0, 30));
+  char buf[2048];
+  size_t len = obs::RenderWideEventJson(event, buf, sizeof(buf));
+  EXPECT_TRUE(IsValidUtf8(std::string_view(buf, len))) << buf;
+
+  // Three- and four-byte code points, at every alignment against the cap.
+  for (const std::string unit : {"\xe2\x82\xac", "\xf0\x9f\x98\x80"}) {
+    for (int pad = 0; pad < 4; ++pad) {
+      std::string name(static_cast<size_t>(pad), 'a');
+      for (int i = 0; i < 12; ++i) name += unit;
+      event.set_catalog(name);
+      const std::string kept(event.catalog);
+      EXPECT_TRUE(IsValidUtf8(kept)) << "pad " << pad;
+      EXPECT_EQ(name.compare(0, kept.size(), kept), 0);
+      EXPECT_GT(kept.size() + unit.size(), WideEvent::kCatalogChars - 1);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Retention policy against a deterministic window clock.
 

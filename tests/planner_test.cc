@@ -1,5 +1,5 @@
-// The plan service end to end: the PlanCache (LRU, invalidation, and the
-// counters the METRICS surfaces render), the Planner facade over both plan
+// The plan service end to end: the plan cache's invalidation and the
+// counters the METRICS surfaces render, the Planner facade over both plan
 // regimes (Section 2.3 UCQ plans and Section 4 executable dom plans), the
 // PLAN?/REWRITE?/CATALOG? protocol verbs, budget behavior (a bound is an
 // error, never a wrong plan), and the path-view workload generator.
@@ -14,7 +14,6 @@
 #include "common/json.h"
 #include "datalog/parser.h"
 #include "obs/exposition.h"
-#include "planner/plan_cache.h"
 #include "planner/planner.h"
 #include "relcont/workload.h"
 #include "service/protocol.h"
@@ -23,67 +22,6 @@
 
 namespace relcont {
 namespace {
-
-// --- plan cache -------------------------------------------------------------
-
-CachedPlan PlanValue(const std::string& text) {
-  CachedPlan out;
-  out.plan_text = text;
-  out.num_rules = 1;
-  return out;
-}
-
-TEST(PlanCacheTest, LookupInsertAndLruEviction) {
-  PlanCache cache(/*capacity=*/2, /*num_shards=*/1);
-  EXPECT_FALSE(cache.Lookup("a").has_value());
-  cache.Insert("a", "cat", PlanValue("plan-a"));
-  cache.Insert("b", "cat", PlanValue("plan-b"));
-  // Touch "a" so "b" is the LRU victim when "c" arrives.
-  EXPECT_TRUE(cache.Lookup("a").has_value());
-  cache.Insert("c", "cat", PlanValue("plan-c"));
-  EXPECT_FALSE(cache.Lookup("b").has_value());
-  EXPECT_TRUE(cache.Lookup("a").has_value());
-  EXPECT_TRUE(cache.Lookup("c").has_value());
-  PlanCacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.entries, 2u);
-  EXPECT_EQ(stats.invalidated, 0u);
-}
-
-TEST(PlanCacheTest, InsertRefreshesExistingEntry) {
-  PlanCache cache(4, 1);
-  cache.Insert("a", "cat", PlanValue("old"));
-  cache.Insert("a", "cat", PlanValue("new"));
-  auto hit = cache.Lookup("a");
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->plan_text, "new");
-  EXPECT_EQ(cache.Stats().entries, 1u);
-}
-
-TEST(PlanCacheTest, InvalidateCatalogEvictsOnlyThatCatalog) {
-  PlanCache cache(/*capacity=*/64, /*num_shards=*/4);
-  for (int i = 0; i < 8; ++i) {
-    cache.Insert("left-" + std::to_string(i), "left", PlanValue("l"));
-    cache.Insert("right-" + std::to_string(i), "right", PlanValue("r"));
-  }
-  // Accumulate some hits so we can assert the counters survive.
-  EXPECT_TRUE(cache.Lookup("left-0").has_value());
-  EXPECT_TRUE(cache.Lookup("right-0").has_value());
-  PlanCacheStats before = cache.Stats();
-
-  cache.InvalidateCatalog("left");
-
-  PlanCacheStats after = cache.Stats();
-  EXPECT_EQ(after.invalidated, 8u);
-  EXPECT_EQ(after.entries, 8u);
-  // Hit/miss counters are untouched by invalidation.
-  EXPECT_EQ(after.hits, before.hits);
-  EXPECT_EQ(after.misses, before.misses);
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_FALSE(cache.Lookup("left-" + std::to_string(i)).has_value());
-    EXPECT_TRUE(cache.Lookup("right-" + std::to_string(i)).has_value());
-  }
-}
 
 // --- planner facade ---------------------------------------------------------
 

@@ -115,59 +115,6 @@ TEST(CatalogRegistryTest, MaterializesPatterns) {
   EXPECT_EQ((*adornments)[0].ToString(), "bf");
 }
 
-// --- decision cache ---------------------------------------------------------
-
-CachedDecision Cached(bool contained) {
-  CachedDecision d;
-  d.contained = contained;
-  d.regime = Regime::kSection3;
-  return d;
-}
-
-TEST(DecisionCacheTest, LookupInsertAndStats) {
-  DecisionCache cache(8, 2);
-  EXPECT_FALSE(cache.Lookup("k1").has_value());
-  cache.Insert("k1", Cached(true));
-  auto hit = cache.Lookup("k1");
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_TRUE(hit->contained);
-  EXPECT_EQ(hit->regime, Regime::kSection3);
-  CacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.entries, 1u);
-}
-
-TEST(DecisionCacheTest, LruEvictionOrder) {
-  // One shard so recency order is global and deterministic.
-  DecisionCache cache(3, 1);
-  cache.Insert("a", Cached(true));
-  cache.Insert("b", Cached(true));
-  cache.Insert("c", Cached(true));
-  // Refresh "a": now "b" is the least recently used entry.
-  EXPECT_TRUE(cache.Lookup("a").has_value());
-  cache.Insert("d", Cached(false));
-  EXPECT_TRUE(cache.Lookup("a").has_value());
-  EXPECT_FALSE(cache.Lookup("b").has_value());
-  EXPECT_TRUE(cache.Lookup("c").has_value());
-  EXPECT_TRUE(cache.Lookup("d").has_value());
-  CacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.entries, 3u);
-}
-
-TEST(DecisionCacheTest, ClearDropsEntriesKeepsCounters) {
-  DecisionCache cache(4, 1);
-  cache.Insert("a", Cached(true));
-  EXPECT_TRUE(cache.Lookup("a").has_value());
-  cache.Clear();
-  EXPECT_FALSE(cache.Lookup("a").has_value());
-  CacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-}
-
 // --- service ----------------------------------------------------------------
 
 class ServiceTest : public ::testing::Test {
@@ -252,13 +199,27 @@ TEST_F(ServiceTest, CatalogVersionBumpInvalidatesCachedDecisions) {
   DecisionResponse before = service_.Decide(request, &ctx_);
   ASSERT_TRUE(before.status.ok());
   EXPECT_FALSE(before.contained);
+  // A decision against another catalog, which re-registering "main" must
+  // leave alone.
+  ASSERT_TRUE(service_.catalogs().Register("other", "v(X) :- p(X, X).\n").ok());
+  DecisionRequest elsewhere = request;
+  elsewhere.catalog = "other";
+  ASSERT_TRUE(service_.Decide(elsewhere, &ctx_).status.ok());
+  ASSERT_EQ(service_.cache().Stats().entries, 2u);
   // With s gone from the catalog, Q2's plan collapses and the answer
   // changes; the version bump must route around the cached decision.
   ASSERT_TRUE(
       service_.catalogs().Register("main", "v1(X, Y) :- p(X, Y).\n").ok());
+  // The re-registration also reclaims the dead entry at once, instead of
+  // leaving it to age out under LRU pressure.
+  CacheStats reclaimed = service_.cache().Stats();
+  EXPECT_EQ(reclaimed.entries, 1u);
+  EXPECT_EQ(reclaimed.invalidated, 1u);
+  EXPECT_EQ(reclaimed.evictions, 0u);
   DecisionResponse after = service_.Decide(request, &ctx_);
   ASSERT_TRUE(after.status.ok());
   EXPECT_FALSE(after.cache_hit);
+  EXPECT_TRUE(service_.Decide(elsewhere, &ctx_).cache_hit);
 }
 
 TEST_F(ServiceTest, WorkerArenaResetKeepsServing) {

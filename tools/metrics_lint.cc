@@ -8,7 +8,9 @@
 //   1. every table row has a row in the "Series glossary" table that
 //      names the row's METRICS series and its /metrics series and gives
 //      the row's type as its Kind (a histogram row needs one glossary row
-//      per `_bucket`/`_sum`/`_count` series);
+//      per `_bucket`/`_sum`/`_count` series), and, in reverse, every
+//      glossary row names a series the table emits — an orphan row left
+//      behind by a removed or renamed series fails too;
 //   2. the /requestz JSON (both the list and the per-id drill-down,
 //      rendered from a synthetic fully populated flight recorder)
 //      reparses, and every key in it has its own row in one of the
@@ -94,6 +96,25 @@ std::vector<std::string> SectionRows(const std::string& doc,
   return rows;
 }
 
+/// The series names a glossary row documents: the code span opening each
+/// of its first two cells (METRICS and Prometheus name), labels stripped
+/// (`name{...}` -> `name`); a cell without a code span (e.g. "— text-only")
+/// contributes nothing.
+std::vector<std::string> DocumentedNames(const std::string& row) {
+  std::vector<std::string> names;
+  size_t cell = 0;
+  for (int i = 0; i < 2; ++i) {
+    cell = row.find("| ", cell);
+    if (cell == std::string::npos) break;
+    cell += 2;
+    if (row.compare(cell, 1, "`") != 0) continue;
+    const size_t end = row.find_first_of("`{", cell + 1);
+    if (end == std::string::npos) break;
+    names.push_back(row.substr(cell + 1, end - cell - 1));
+  }
+  return names;
+}
+
 /// Whether a cell of glossary `row` names series `name` (spelled `name`,
 /// or `name{...}` with its labels).
 bool NamesSeries(const std::string& row, const std::string& name) {
@@ -129,6 +150,7 @@ int main(int argc, char** argv) {
   const std::vector<std::string> glossary =
       SectionRows(doc, "### Series glossary");
   size_t series = 0;
+  std::set<std::string> emitted;
   for (const relcont::obs::SeriesRow& row : relcont::obs::SeriesTable()) {
     if (row.text_name == nullptr && row.prom_name == nullptr) continue;
     const bool histogram = std::string(row.type) == "histogram";
@@ -140,6 +162,8 @@ int main(int argc, char** argv) {
           row.text_name != nullptr ? row.text_name + std::string(suffix) : "";
       const std::string prom_name =
           row.prom_name != nullptr ? row.prom_name + std::string(suffix) : "";
+      emitted.insert(text_name);
+      emitted.insert(prom_name);
       bool documented = false;
       for (const std::string& entry : glossary) {
         documented |= (text_name.empty() || NamesSeries(entry, text_name)) &&
@@ -151,6 +175,16 @@ int main(int argc, char** argv) {
         fail("series '" + text_name + "' / '" + prom_name + "' (" +
              row.type + ") has no glossary row in " + std::string(argv[1]));
       }
+    }
+  }
+
+  //    And in reverse: a glossary row that names no emitted series.
+  for (const std::string& entry : glossary) {
+    const std::vector<std::string> names = DocumentedNames(entry);
+    if (std::none_of(names.begin(), names.end(), [&](const std::string& n) {
+          return !n.empty() && emitted.count(n) > 0;
+        })) {
+      fail("glossary row documents no series: " + entry);
     }
   }
 
